@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .bounds import SCHEMA_VERSION, analyze
-from .linalg import ValidationError
+from .linalg import HERMITICITY_TOL, POSITIVITY_TOL, TRACE_TOL, ValidationError
 from .selfcheck import run_verification
 from .states import RNG_NAME, StateSpec, make_state, threshold_scan
 from .tensors import IMAG_TOL, all_tensors
@@ -28,8 +28,8 @@ EXIT_VERIFY_FAILED = 4
 TOL_RANGE = (1e-14, 1e-4)
 TOL_NAMES = ("hermiticity", "trace", "positivity", "tensor_reality")
 
-DEFAULT_VALIDATION_TOLS = {"hermiticity": 1e-10, "trace": 1e-10,
-                           "positivity": 1e-10}
+DEFAULT_VALIDATION_TOLS = {"hermiticity": HERMITICITY_TOL, "trace": TRACE_TOL,
+                           "positivity": POSITIVITY_TOL}
 
 
 class RequestError(ValueError):
@@ -100,13 +100,16 @@ def _check_tolerances(tols):
 
 
 def _parse_request(payload):
-    """Split an analysis request into (StateSpec payload, options)."""
+    """Split an analysis request into (StateSpec payload, options).
+
+    The caller's dict is left as it was.
+    """
     if "state" in payload:
         spec_payload = payload["state"]
         options = payload.get("options", {})
     else:
-        options = payload.pop("options", {}) if "options" in payload else {}
-        spec_payload = payload
+        spec_payload = dict(payload)
+        options = spec_payload.pop("options", {})
     if not isinstance(options, dict):
         raise RequestError("options must be an object")
     unknown = set(options) - {"samples_for_roof", "emit_tensors", "tolerances"}

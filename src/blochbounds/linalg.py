@@ -217,13 +217,20 @@ def validate_density(mat, ctx: PartitionContext, *,
                      positivity_tol: float = POSITIVITY_TOL) -> DensityMatrix:
     """Check density-matrix invariants and wrap the result.
 
-    Checks run in a fixed order (shape, hermiticity, unit trace, positive
-    semidefiniteness) and the first failure raises a ValidationError naming
-    the invariant and the measured violation. Eigenvalues are taken from the
-    Hermitian part so a matrix that passes the hermiticity check gets a
-    well-conditioned spectrum.
+    Checks run in a fixed order (finite entries, shape, hermiticity, unit
+    trace, positive semidefiniteness) and the first failure raises a
+    ValidationError naming the invariant and the measured violation; a
+    ``finite`` failure reports the count of NaN or infinite entries, since
+    every later comparison would be false on them. Eigenvalues are taken
+    from the Hermitian part so a matrix that passes the hermiticity check
+    gets a well-conditioned spectrum.
     """
     m = np.asarray(mat, dtype=np.complex128)
+    bad = int(np.count_nonzero(~np.isfinite(m)))
+    if bad:
+        raise ValidationError(
+            "finite", bad, 0.0,
+            f"{bad} entries are NaN or infinite; a density matrix is finite")
     dim = ctx.total_dim
     if m.ndim != 2 or m.shape != (dim, dim):
         raise ValidationError(

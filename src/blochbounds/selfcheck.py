@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import (
+    SCHEMA_VERSION,
     analyze,
     bound_coefficients,
     convex_roof_upper_estimate,
@@ -23,8 +24,6 @@ from .generators import apply_local_unitaries, su_generators
 from .linalg import PartitionContext, partial_trace, proper_subset_masks, purity
 from .states import RNG_NAME, haar_random_pure, haar_unitary, random_mixed
 from .tensors import all_tensors, purity_from_tensors, reduced_purity_from_tensors
-
-SCHEMA_VERSION = 1
 
 TOLERANCES = {
     "pure_equivalence": 1e-8,

@@ -116,6 +116,31 @@ class TestAnalyze:
         assert diag["invariant"] == "positivity"
         assert abs(diag["magnitude"] - (-0.5)) < 1e-12
 
+    @pytest.mark.parametrize("pos", [(0, 0), (1, 2)])
+    def test_nan_matrix_exits_2_finite(self, capsys, monkeypatch, pos):
+        matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                  for i in range(4)]
+        matrix[pos[0]][pos[1]][0] = float("nan")
+        bad = {"kind": "dense", "n_parties": 2, "local_dim": 2,
+               "params": {"matrix": matrix}}
+        code, out, err = run_cli(["analyze"], capsys, json.dumps(bad), monkeypatch)
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "invalid-state"
+        assert diag["invariant"] == "finite"
+
+    def test_parse_request_leaves_payload_unchanged(self):
+        from blochbounds.cli import _parse_request
+        for payload in ({"kind": "bell", "options": {"emit_tensors": True}},
+                        {"state": {"kind": "bell"},
+                         "options": {"samples_for_roof": 3}}):
+            before = json.loads(json.dumps(payload))
+            spec_payload, options = _parse_request(payload)
+            assert payload == before
+            assert spec_payload["kind"] == "bell"
+            assert "options" not in spec_payload
+
     def test_invalid_params_exit_2(self, capsys, monkeypatch):
         request = '{"kind":"ghz_noise","params":{"x":2.0}}'
         code, _, err = run_cli(["analyze"], capsys, request, monkeypatch)

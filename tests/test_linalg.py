@@ -271,6 +271,30 @@ class TestValidateDensity:
         assert isinstance(dm, DensityMatrix)
 
 
+class TestFiniteInvariant:
+    @pytest.mark.parametrize("pos,value", [((0, 0), np.nan), ((0, 1), np.nan),
+                                           ((2, 2), np.inf), ((3, 1), -np.inf)])
+    def test_non_finite_entry_rejected_first(self, pos, value):
+        # NaN compares false, so without this check a diagonal NaN passed
+        # every later test and an off-diagonal one crashed eigvalsh
+        ctx = PartitionContext(2, 2)
+        m = np.eye(4, dtype=complex) / 4
+        m[pos] = value
+        with pytest.raises(ValidationError) as err:
+            validate_density(m, ctx)
+        assert err.value.invariant == "finite"
+        assert err.value.magnitude == 1.0
+        assert err.value.tolerance == 0.0
+
+    def test_nan_imaginary_part_rejected(self):
+        ctx = PartitionContext(1, 2)
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = complex(0.0, np.nan)
+        with pytest.raises(ValidationError) as err:
+            validate_density(m, ctx)
+        assert err.value.invariant == "finite"
+
+
 class TestDensityMatrix:
     def test_copy_is_immutable(self):
         ctx = PartitionContext(1, 2)

@@ -10,7 +10,12 @@ import itertools
 import numpy as np
 import pytest
 
-from blochbounds.generators import apply_local_unitaries, su_generators
+from blochbounds.generators import (
+    GeneratorBasis,
+    apply_local_unitaries,
+    operator_string,
+    su_generators,
+)
 from blochbounds.linalg import (
     DensityMatrix,
     PartitionContext,
@@ -288,3 +293,102 @@ class TestInvariances:
             theirs = sorted(v for m, v in ts_perm.norms_sq.items()
                             if subset_size(m) == size)
             assert np.allclose(mine, theirs, atol=1e-12)
+
+
+def oracle_coefficients(rho, basis=None):
+    """{mask: complex tensor} from one literal operator string per entry."""
+    ctx = rho.ctx
+    d = ctx.local_dim
+    basis = basis or su_generators(d)
+    out = {}
+    for mask in nonempty_masks(ctx.n_parties):
+        parties = parties_from_mask(mask)
+        t = np.empty((d * d - 1,) * len(parties), dtype=complex)
+        for idx in itertools.product(range(d * d - 1), repeat=len(parties)):
+            string = operator_string(basis, dict(zip(parties, idx)), ctx)
+            t[idx] = (d / 2.0) ** len(parties) * np.einsum("ij,ji->", rho.mat, string)
+        out[mask] = t
+    return out
+
+
+class TestModeWiseTransform:
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+    def test_matches_operator_string_oracle(self, n, d):
+        ctx = PartitionContext(n, d)
+        rng = np.random.default_rng(300 + 10 * n + d)
+        for rank in (1, 4):
+            rho = random_state(ctx, rng, rank=rank)
+            ts = all_tensors(rho)
+            for mask, expect in oracle_coefficients(rho).items():
+                assert ts.sectors[mask].shape == expect.shape
+                assert np.abs(ts.sectors[mask] - expect.real).max() <= 1e-14
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
+    def test_permuted_negated_basis(self, n, d):
+        ctx = PartitionContext(n, d)
+        rho = random_state(ctx, np.random.default_rng(17 + n + d), rank=3)
+        base = su_generators(d)
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(len(base))
+        sign = np.where(rng.random(len(base)) < 0.5, -1.0, 1.0)
+        sign[0] = -1.0
+        custom = GeneratorBasis(d, tuple(sign[k] * base[perm[k]]
+                                         for k in range(len(base))))
+        ts, ts_custom = all_tensors(rho), all_tensors(rho, custom)
+        for mask, t in ts.sectors.items():
+            m = t.ndim
+            expect = t[np.ix_(*[perm] * m)]
+            for axis in range(m):
+                shape = [1] * m
+                shape[axis] = -1
+                expect = expect * sign.reshape(shape)
+            assert np.abs(ts_custom.sectors[mask] - expect).max() <= 1e-14
+            assert abs(ts_custom.norms_sq[mask] - ts.norms_sq[mask]) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reality_magnitude_is_worst_residue(self, d):
+        ctx = PartitionContext(2, d)
+        rng = np.random.default_rng(70 + d)
+        rho = random_state(ctx, rng, rank=2)
+        g = rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2)
+        bad = DensityMatrix(ctx, rho.mat + 1e-6 * g)
+        worst = max(np.abs(t.imag).max() for t in oracle_coefficients(bad).values())
+        with pytest.raises(ValidationError) as err:
+            all_tensors(bad)
+        assert err.value.invariant == "tensor-reality"
+        assert err.value.tolerance == 1e-10
+        assert abs(err.value.magnitude - worst) <= 1e-9 * worst
+
+    def test_residue_just_below_tolerance_passes(self):
+        # i * eps * (Z x Z) leaves one imaginary coefficient, 4 * eps, on (z, z)
+        ctx = PartitionContext(2, 2)
+        zz = np.kron(SZ, SZ)
+        rho = np.eye(4) / 4
+        ok = DensityMatrix(ctx, rho + 1j * (0.9e-10 / 4) * zz)
+        assert np.abs(all_tensors(ok).sectors[0b11]).max() < 1e-14
+        bad = DensityMatrix(ctx, rho + 1j * (1.1e-10 / 4) * zz)
+        with pytest.raises(ValidationError) as err:
+            all_tensors(bad)
+        assert err.value.invariant == "tensor-reality"
+        assert abs(err.value.magnitude - 1.1e-10) < 1e-20
+        assert "entry (2, 2) of subset [1, 2]" in str(err.value)
+
+    def test_nan_cannot_pass_reality_check(self):
+        ctx = PartitionContext(2, 2)
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = np.nan
+        with pytest.raises(ValidationError) as err:
+            all_tensors(DensityMatrix(ctx, m))
+        assert err.value.invariant == "tensor-reality"
+        with pytest.raises(ValidationError):
+            correlation_tensor(DensityMatrix(ctx, m), 0b01)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (2, 3), (3, 3)])
+    def test_correlation_tensor_equals_sector(self, n, d):
+        ctx = PartitionContext(n, d)
+        rho = random_state(ctx, np.random.default_rng(400 + 10 * n + d), rank=2)
+        ts = all_tensors(rho)
+        for mask in nonempty_masks(n):
+            t = correlation_tensor(rho, mask)
+            assert t.shape == ts.sectors[mask].shape
+            assert np.abs(t - ts.sectors[mask]).max() <= 1e-14

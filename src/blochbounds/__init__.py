@@ -47,7 +47,6 @@ from .linalg import (
     nonempty_masks,
     partial_trace,
     parties_from_mask,
-    proper_subset_masks,
     purity,
     subset_size,
     validate_density,

@@ -37,7 +37,6 @@ from .linalg import (
     PartitionContext,
     ValidationError,
     partial_trace,
-    proper_subset_masks,
     purity,
 )
 from .states import RNG_NAME, haar_unitary
@@ -110,7 +109,7 @@ def reduced_purity_sum(rho: DensityMatrix) -> float:
     of the tensor-based purity identities it gets cross-checked against.
     """
     return sum(purity(partial_trace(rho, mask))
-               for mask in proper_subset_masks(rho.ctx))
+               for mask in range(1, rho.ctx.full_mask))
 
 
 def pure_concurrence_purity(psi: DensityMatrix, *,

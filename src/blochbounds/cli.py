@@ -13,6 +13,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .bounds import SCHEMA_VERSION, analyze
 from .linalg import HERMITICITY_TOL, POSITIVITY_TOL, TRACE_TOL, ValidationError
 from .selfcheck import run_verification
@@ -36,31 +38,8 @@ class RequestError(ValueError):
     """The request itself is malformed (unparseable or wrong shape)."""
 
 
-class _Float17Encoder(json.JSONEncoder):
-    """Emit floats with 17 significant digits so doubles round-trip."""
-
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-
-        def floatstr(x, _repr=None, _inf=float("inf")):
-            if x != x:
-                return "NaN"
-            if x == _inf:
-                return "Infinity"
-            if x == -_inf:
-                return "-Infinity"
-            return format(x, ".17g")
-
-        make = json.encoder._make_iterencode(
-            markers, self.default, json.encoder.encode_basestring_ascii,
-            self.indent, floatstr, self.key_separator, self.item_separator,
-            self.sort_keys, self.skipkeys, _one_shot)
-        return make(o, 0)
-
-
 def _emit(doc, stream=None):
-    stream = stream or sys.stdout
-    stream.write(json.dumps(doc, cls=_Float17Encoder, indent=2) + "\n")
+    (stream or sys.stdout).write(json.dumps(doc) + "\n")
 
 
 def _fail(code, error, **extra):
@@ -117,16 +96,25 @@ def _parse_request(payload):
         raise RequestError(f"unknown options: {', '.join(sorted(unknown))}")
     options = dict(options)
     options["tolerances"] = _check_tolerances(options.get("tolerances", {}))
-    if not isinstance(spec_payload, dict) or "kind" not in spec_payload:
-        raise RequestError("state spec needs a 'kind' field")
     return spec_payload, options
+
+
+def _spec(payload, seed):
+    """The StateSpec a request names, its seed overridden unless ``seed`` is None.
+
+    A spec that cannot be built (no or unknown kind, unknown params, missing
+    sizes) is a malformed request, not an invalid state.
+    """
+    try:
+        spec = StateSpec.from_dict(payload)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
+    return spec if seed is None else replace(spec, seed=seed)
 
 
 def cmd_analyze(args) -> int:
     spec_payload, options = _parse_request(_read_json(args.input))
-    spec = StateSpec.from_dict(spec_payload)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    spec = _spec(spec_payload, args.seed)
     tols = options["tolerances"]
     if args.tol is not None:
         lo, hi = TOL_RANGE
@@ -154,9 +142,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     payload = {"kind": "ghz_noise"} if args.input is None else _read_json(args.input)
-    if "kind" not in payload:
-        raise RequestError("scan spec needs a 'kind' field")
-    base = StateSpec.from_dict(payload)
+    base = _spec(payload, None)
     if base.kind not in ("ghz_noise", "ghz_noise_general"):
         raise RequestError("scan expects a noise family kind "
                            "(ghz_noise or ghz_noise_general)")
@@ -212,14 +198,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_state(args) -> int:
-    payload = _read_json(args.input)
-    if "kind" not in payload:
-        raise RequestError("state spec needs a 'kind' field")
-    spec = StateSpec.from_dict(payload)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    spec = _spec(_read_json(args.input), args.seed)
     rho = make_state(spec)
-    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in rho.mat]
+    matrix = np.stack([rho.mat.real, rho.mat.imag], axis=-1).tolist()
     _emit({
         "schema_version": SCHEMA_VERSION,
         "kind": "dense",

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -119,8 +119,8 @@ def subset_size(mask: int) -> int:
 def nonempty_masks(n_parties: int) -> range:
     """Every nonempty subset of 1..n_parties, in increasing mask order.
 
-    Includes the full set; slice with ``range(1, (1 << n) - 1)`` when only
-    proper subsets are wanted.
+    Includes the full set; ``range(1, ctx.full_mask)`` gives the proper
+    subsets only.
     """
     return range(1, 1 << n_parties)
 
@@ -249,8 +249,3 @@ def validate_density(mat, ctx: PartitionContext, *,
             "positivity", min_eval, positivity_tol,
             f"smallest eigenvalue {min_eval:.6g} is below -{positivity_tol:.1g}")
     return DensityMatrix(ctx, m)
-
-
-def proper_subset_masks(ctx: PartitionContext) -> Iterator[int]:
-    """All nonempty proper subsets of the parties, ascending mask order."""
-    return iter(range(1, ctx.full_mask))

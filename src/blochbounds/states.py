@@ -13,8 +13,12 @@ from .linalg import DensityMatrix, PartitionContext, validate_density
 # numpy's default_rng bit generator; recorded in reports for reproducibility
 RNG_NAME = "pcg64"
 
-KINDS = ("ghz", "w", "bell", "product", "ghz_noise", "ghz_noise_general",
-         "dense", "random_pure", "random_mixed")
+# every state kind and the params it accepts; any other param is rejected
+KIND_PARAMS = MappingProxyType({
+    "ghz": (), "w": (), "bell": (), "product": ("kets",),
+    "ghz_noise": ("x",), "ghz_noise_general": ("x",), "dense": ("matrix",),
+    "random_pure": (), "random_mixed": ("rank",),
+})
 
 # kinds with a conventional size when the request does not spell one out
 _DEFAULT_CTX = {"ghz": (3, 2), "w": (3, 2), "bell": (2, 2), "ghz_noise": (3, 2)}
@@ -33,9 +37,7 @@ class StateSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown state kind {self.kind!r}; "
-                             f"expected one of {', '.join(KINDS)}")
+        _check_kind(self.kind, self.params)
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @classmethod
@@ -45,14 +47,17 @@ class StateSpec:
         if "kind" not in payload:
             raise ValueError("state spec needs a 'kind' field")
         kind = payload["kind"]
+        params = payload.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError("state params must be a JSON object")
+        _check_kind(kind, params)  # before sizes: an unknown kind has no default
         default_n, default_d = _DEFAULT_CTX.get(kind, (None, None))
         n = payload.get("n_parties", default_n)
         d = payload.get("local_dim", default_d)
         if n is None or d is None:
             raise ValueError(f"kind {kind!r} needs explicit n_parties and local_dim")
         seed = payload.get("seed")
-        return cls(kind, PartitionContext(int(n), int(d)),
-                   payload.get("params", {}),
+        return cls(kind, PartitionContext(int(n), int(d)), params,
                    None if seed is None else int(seed))
 
     def to_dict(self) -> dict:
@@ -66,6 +71,17 @@ class StateSpec:
 
     def with_params(self, **updates) -> "StateSpec":
         return replace(self, params={**self.params, **updates})
+
+
+def _check_kind(kind, params):
+    if not isinstance(kind, str) or kind not in KIND_PARAMS:
+        raise ValueError(f"unknown state kind {kind!r}; "
+                         f"expected one of {', '.join(KIND_PARAMS)}")
+    unknown = sorted(str(name) for name in params if name not in KIND_PARAMS[kind])
+    if unknown:
+        accepted = ", ".join(KIND_PARAMS[kind]) or "none"
+        raise ValueError(f"unknown params for kind {kind!r}: {', '.join(unknown)}; "
+                         f"accepted: {accepted}")
 
 
 def _ghz_vector(ctx):
@@ -97,7 +113,7 @@ def _ket_array(payload, d):
 
 def _product_vector(ctx, params):
     d = ctx.local_dim
-    kets = params.get("local_kets")
+    kets = params.get("kets")
     if kets is None:
         ground = np.zeros(d, dtype=complex)
         ground[0] = 1.0

@@ -83,7 +83,7 @@ class CorrelationTensorSet:
             out.append({
                 "subset": list(parties_from_mask(mask)),
                 "shape": list(t.shape),
-                "entries": [float(x) for x in t.ravel()],
+                "entries": t.ravel().tolist(),
                 "norm_sq": float(self.norms_sq[mask]),
             })
         return out

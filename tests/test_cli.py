@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from blochbounds.cli import main
+from blochbounds.states import StateSpec, make_state
+from blochbounds.tensors import all_tensors
 
 
 def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -58,8 +60,20 @@ class TestAnalyze:
     def test_floats_roundtrip(self, capsys, monkeypatch):
         code, out, _ = run_cli(["analyze"], capsys, '{"kind":"ghz"}', monkeypatch)
         doc = json.loads(out)
-        # 17 significant digits reproduce the double exactly
+        # shortest round-trip repr reproduces the double exactly
         assert doc["concurrence_lower"] == 1.2247448713915885
+
+    def test_whole_number_floats_stay_floats(self, capsys, monkeypatch):
+        _, out, _ = run_cli(["analyze"], capsys, '{"kind":"ghz"}', monkeypatch)
+        assert isinstance(json.loads(out)["gme_threshold"], float)
+        request = '{"kind":"product","n_parties":3,"local_dim":2}'
+        _, out, _ = run_cli(["analyze"], capsys, request, monkeypatch)
+        assert isinstance(json.loads(out)["concurrence_lower"], float)
+
+    def test_output_is_one_line(self, capsys, monkeypatch):
+        _, out, _ = run_cli(["analyze", "--emit-tensors"], capsys,
+                            '{"kind":"ghz"}', monkeypatch)
+        assert out.endswith("}\n") and out.count("\n") == 1
 
     def test_roof_flag_overrides_options(self, capsys, monkeypatch):
         request = '{"kind":"ghz_noise","params":{"x":0.1},"seed":2}'
@@ -79,6 +93,15 @@ class TestAnalyze:
         assert subsets == [[1], [2], [1, 2]]
         pair = doc["tensors"][2]
         assert abs(pair["norm_sq"] - 3.0) < 1e-12
+
+    def test_emit_tensors_matches_payload(self, capsys, monkeypatch):
+        spec = {"kind": "random_mixed", "n_parties": 3, "local_dim": 2,
+                "params": {"rank": 3}, "seed": 7}
+        code, out, _ = run_cli(["analyze", "--emit-tensors"], capsys,
+                               json.dumps(spec), monkeypatch)
+        assert code == 0
+        rho = make_state(StateSpec.from_dict(spec))
+        assert json.loads(out)["tensors"] == all_tensors(rho).as_payload()
 
     def test_wrapped_request_form(self, capsys, monkeypatch):
         request = json.dumps({"state": {"kind": "ghz"},
@@ -104,6 +127,24 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze"], capsys, '{"params":{}}', monkeypatch)
         assert code == 1
         assert "kind" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command", [["analyze"], ["gen-state"],
+                                         ["scan", "--predicate", "gme",
+                                          "--input", "-"]])
+    @pytest.mark.parametrize("request_text,needle", [
+        ('{"kind":"product","n_parties":2,"local_dim":2,'
+         '"params":{"local_kets":[[0,1],[0,1]]}}', "local_kets"),
+        ('{"kind":"ghz","params":{"bogus":1}}', "bogus"),
+        ('{"kind":"nope"}', "unknown state kind"),
+    ])
+    def test_bad_spec_exits_1(self, capsys, monkeypatch, command,
+                              request_text, needle):
+        code, out, err = run_cli(command, capsys, request_text, monkeypatch)
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "parse"
+        assert needle in diag["message"]
 
     def test_invalid_matrix_exits_2(self, capsys, monkeypatch):
         bad = {"kind": "dense", "n_parties": 1, "local_dim": 2,
@@ -252,6 +293,26 @@ class TestGenState:
         code, out, _ = run_cli(["analyze"], capsys, json.dumps(doc), monkeypatch)
         assert code == 0
         assert json.loads(out)["verdict"] == "genuine-multipartite-entangled"
+
+    def test_seeded_matrix_exact(self, capsys, monkeypatch):
+        spec = {"kind": "random_mixed", "n_parties": 3, "local_dim": 2,
+                "params": {"rank": 3}, "seed": 4}
+        code, out, _ = run_cli(["gen-state"], capsys, json.dumps(spec),
+                               monkeypatch)
+        assert code == 0
+        pairs = np.array(json.loads(out)["params"]["matrix"], dtype=float)
+        expect = make_state(StateSpec.from_dict(spec)).mat
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], expect)
+
+    def test_product_kets(self, capsys, monkeypatch):
+        spec = ('{"kind":"product","n_parties":2,"local_dim":2,'
+                '"params":{"kets":[[0,1],[0,1]]}}')
+        code, out, _ = run_cli(["gen-state"], capsys, spec, monkeypatch)
+        assert code == 0
+        pairs = np.array(json.loads(out)["params"]["matrix"], dtype=float)
+        expect = np.zeros((4, 4, 2))
+        expect[3, 3, 0] = 1.0
+        assert np.array_equal(pairs, expect)
 
     def test_seed_override(self, capsys, monkeypatch):
         spec = '{"kind":"random_pure","n_parties":2,"local_dim":2,"seed":1}'

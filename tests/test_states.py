@@ -61,6 +61,27 @@ class TestStateSpec:
         with pytest.raises(ValueError, match="kind"):
             StateSpec.from_dict({"n_parties": 2, "local_dim": 2})
 
+    def test_unknown_kind_named_before_sizes(self):
+        with pytest.raises(ValueError, match="unknown state kind 'nope'"):
+            StateSpec.from_dict({"kind": "nope"})
+
+    @pytest.mark.parametrize("kind,params", [
+        ("ghz", {"bogus": 1}), ("product", {"local_kets": [[1, 0], [1, 0]]}),
+        ("ghz_noise", {"x": 0.1, "y": 0.2}), ("random_mixed", {"seed": 3})])
+    def test_unknown_params_rejected(self, kind, params):
+        bad = sorted(set(params) - {"x"})
+        with pytest.raises(ValueError, match=f"unknown params .*{bad[0]}"):
+            StateSpec(kind, PartitionContext(2, 2), params)
+        with pytest.raises(ValueError, match="unknown params"):
+            StateSpec.from_dict({"kind": kind, "n_parties": 2, "local_dim": 2,
+                                 "params": params})
+        with pytest.raises(ValueError, match="unknown params"):
+            StateSpec(kind, PartitionContext(3, 2)).with_params(**params)
+
+    def test_params_must_be_object(self):
+        with pytest.raises(ValueError, match="params must be a JSON object"):
+            StateSpec.from_dict({"kind": "ghz", "params": [1, 2]})
+
     def test_params_read_only(self):
         spec = StateSpec("ghz_noise", PartitionContext(3, 2), {"x": 0.5})
         with pytest.raises(TypeError):
@@ -108,7 +129,7 @@ class TestNamedStates:
 
     def test_product_custom_kets(self):
         spec = StateSpec("product", PartitionContext(2, 2),
-                         {"local_kets": [[3.0, 4.0], [[0.0, 0.0], [1.0, 0.0]]]})
+                         {"kets": [[3.0, 4.0], [[0.0, 0.0], [1.0, 0.0]]]})
         rho = make_state(spec)
         a = np.array([0.6, 0.8])
         b = np.array([0.0, 1.0])
@@ -118,13 +139,13 @@ class TestNamedStates:
     def test_product_validation(self):
         ctx = PartitionContext(2, 2)
         with pytest.raises(ValueError, match="2 local kets"):
-            make_state(StateSpec("product", ctx, {"local_kets": [[1, 0]]}))
+            make_state(StateSpec("product", ctx, {"kets": [[1, 0]]}))
         with pytest.raises(ValueError, match="length 2"):
             make_state(StateSpec("product", ctx,
-                                 {"local_kets": [[1, 0, 0], [1, 0]]}))
+                                 {"kets": [[1, 0, 0], [1, 0]]}))
         with pytest.raises(ValueError, match="zero"):
             make_state(StateSpec("product", ctx,
-                                 {"local_kets": [[0.0, 0.0], [1, 0]]}))
+                                 {"kets": [[0.0, 0.0], [1, 0]]}))
 
 
 class TestNoiseFamilies:

@@ -37,6 +37,7 @@ from .linalg import (
     PartitionContext,
     ValidationError,
     partial_trace,
+    parties_from_mask,
     purity,
 )
 from .states import RNG_NAME, haar_unitary
@@ -245,20 +246,19 @@ def _eigen_factor(rho):
     return evecs[:, keep] * np.sqrt(evals[keep])
 
 
-def _mix_decomposition(ctx, factor, size, rng):
-    # rho = A A* for A = factor @ (first rank rows of a Haar unitary);
-    # column norms of A give the weights, normalized columns the members
+def _mix_decomposition(factor, size, rng):
+    """Weights and normalized member kets (columns) of one random ensemble.
+
+    rho = A A* for A = factor @ (first rank rows of a Haar unitary); the
+    column norms of A give the weights, its normalized columns the kets.
+    """
     rank = factor.shape[1]
     a = factor @ haar_unitary(size, rng)[:rank, :]
     raw_weights = np.einsum("ij,ij->j", a.conj(), a).real
     keep = raw_weights > 1e-14
     a = a[:, keep]
     raw_weights = raw_weights[keep]
-    members = tuple(
-        DensityMatrix(ctx, np.outer(a[:, i], a[:, i].conj()) / raw_weights[i])
-        for i in range(a.shape[1]))
-    weights = tuple(raw_weights / raw_weights.sum())
-    return EnsembleDecomposition(weights, members)
+    return raw_weights / raw_weights.sum(), a / np.sqrt(raw_weights)
 
 
 def random_decomposition(rho: DensityMatrix, size: int,
@@ -272,7 +272,53 @@ def random_decomposition(rho: DensityMatrix, size: int,
     rank = factor.shape[1]
     if size < rank:
         raise ValueError(f"need at least rank {rank} members, got {size}")
-    return _mix_decomposition(rho.ctx, factor, size, np.random.default_rng(rng))
+    weights, kets = _mix_decomposition(factor, size, np.random.default_rng(rng))
+    members = tuple(DensityMatrix(rho.ctx, np.outer(ket, ket.conj()))
+                    for ket in kets.T)
+    return EnsembleDecomposition(tuple(weights), members)
+
+
+# Complex entries in one block of stacked member kets of the roof estimate.
+# Consecutive samples share a block up to this size; a larger sample forms
+# a block of its own. Bounds memory only: no sample's value depends on it.
+_ROOF_BLOCK_ENTRIES = 1 << 20
+
+
+def _ket_concurrences(kets: np.ndarray, ctx: PartitionContext) -> np.ndarray:
+    """Pure-state concurrence of every row of a (members, d^N) ket block.
+
+    Tr[rho_S^2] = ||M M*||_F^2 for M the ket reshaped to d^|S| x d^(N-|S|),
+    formed on the smaller side with one batched matmul per subset. S and
+    its complement share the value, so only the subsets without party N are
+    visited and their sum is doubled.
+    """
+    n, d = ctx.n_parties, ctx.local_dim
+    m = kets.shape[0]
+    t = kets.reshape((m,) + (d,) * n)  # axis p holds party p
+    total = np.zeros(m)
+    for mask in range(1, 1 << (n - 1)):
+        inside = list(parties_from_mask(mask))
+        outside = [p for p in ctx.parties() if p not in inside]
+        if len(inside) > len(outside):
+            inside, outside = outside, inside
+        mat = t.transpose([0] + inside + outside).reshape(
+            m, d ** len(inside), d ** len(outside))
+        gram = mat @ mat.conj().transpose(0, 2, 1)
+        parts = gram.reshape(m, -1).view(np.float64)  # re, im interleaved
+        total += np.einsum("ij,ij->i", parts, parts)
+    radicand = (2 ** n - 2) - 2.0 * total
+    return 2.0 ** (1 - n / 2) * np.sqrt(np.maximum(radicand, 0.0))
+
+
+def _best_sample(ctx, weights, kets) -> float:
+    """Least ensemble-averaged concurrence among the samples of one block.
+
+    ``weights`` and ``kets`` hold one entry per sample: its member weights
+    and its (members, d^N) ket rows.
+    """
+    conc = _ket_concurrences(np.concatenate(kets), ctx)
+    sample = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
+    return float(np.bincount(sample, np.concatenate(weights) * conc).min())
 
 
 def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
@@ -283,6 +329,14 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
     decompositions of sizes rank..rank+2. Sample k draws from its own
     spawned seed, so enlarging n_samples keeps earlier samples identical
     and the estimate nonincreasing for a fixed seed.
+
+    Members stay kets and never become d^N x d^N projectors: the kets of
+    consecutive samples are stacked into blocks of at most 2^20 complex
+    entries (a larger sample runs alone), and each block's member
+    purities cost O(members * sum_S d^N d^min(|S|, N-|S|)) over the
+    2^(N-1) - 1 bipartitions S. The value agrees with the projector
+    definition (``pure_concurrence_purity`` of each member of
+    ``random_decomposition``) to rounding.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -291,15 +345,18 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
     if rank == 1:
         # a pure state admits only itself
         return pure_concurrence_purity(rho)
-    ctx = rho.ctx
     best = math.inf
+    weights, kets, entries = [], [], 0
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
-        rng = np.random.default_rng(child)
-        dec = _mix_decomposition(ctx, factor, rank + k % 3, rng)
-        avg = sum(w * pure_concurrence_purity(member)
-                  for w, member in zip(dec.weights, dec.members))
-        best = min(best, avg)
-    return best
+        w, columns = _mix_decomposition(factor, rank + k % 3,
+                                        np.random.default_rng(child))
+        if kets and entries + columns.size > _ROOF_BLOCK_ENTRIES:
+            best = min(best, _best_sample(rho.ctx, weights, kets))
+            weights, kets, entries = [], [], 0
+        weights.append(w)
+        kets.append(columns.T)
+        entries += columns.size
+    return min(best, _best_sample(rho.ctx, weights, kets))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import SCHEMA_VERSION, analyze
 from .linalg import HERMITICITY_TOL, POSITIVITY_TOL, TRACE_TOL, ValidationError
 from .selfcheck import run_verification
-from .states import RNG_NAME, StateSpec, make_state, threshold_scan
+from .states import RNG_NAME, StateSpec, is_json_int, make_state, threshold_scan
 from .tensors import IMAG_TOL, all_tensors
 
 EXIT_OK = 0
@@ -84,6 +84,10 @@ def _parse_request(payload):
     The caller's dict is left as it was.
     """
     if "state" in payload:
+        unknown = set(payload) - {"state", "options"}
+        if unknown:
+            raise RequestError("unknown request fields: "
+                               f"{', '.join(sorted(map(str, unknown)))}")
         spec_payload = payload["state"]
         options = payload.get("options", {})
     else:
@@ -96,6 +100,13 @@ def _parse_request(payload):
         raise RequestError(f"unknown options: {', '.join(sorted(unknown))}")
     options = dict(options)
     options["tolerances"] = _check_tolerances(options.get("tolerances", {}))
+    samples = options.get("samples_for_roof", 0)
+    if not is_json_int(samples) or samples < 0:
+        raise RequestError("samples_for_roof must be a nonnegative integer, "
+                           f"got {samples!r}")
+    if not isinstance(options.get("emit_tensors", False), bool):
+        raise RequestError("emit_tensors must be true or false, "
+                           f"got {options['emit_tensors']!r}")
     return spec_payload, options
 
 
@@ -109,7 +120,11 @@ def _spec(payload, seed):
         spec = StateSpec.from_dict(payload)
     except ValueError as exc:
         raise RequestError(str(exc)) from exc
-    return spec if seed is None else replace(spec, seed=seed)
+    if seed is None:
+        return spec
+    if seed < 0:
+        raise RequestError(f"--seed must be nonnegative, got {seed}")
+    return replace(spec, seed=seed)
 
 
 def cmd_analyze(args) -> int:
@@ -122,10 +137,10 @@ def cmd_analyze(args) -> int:
             raise RequestError(f"--tol must lie in [{lo:g}, {hi:g}]")
         tols = {name: args.tol for name in TOL_NAMES}
     samples = args.samples if args.samples is not None \
-        else int(options.get("samples_for_roof", 0))
+        else options.get("samples_for_roof", 0)
     if samples < 0:
-        raise RequestError("samples_for_roof must be nonnegative")
-    emit_tensors = bool(args.emit_tensors or options.get("emit_tensors", False))
+        raise RequestError("--samples must be nonnegative")
+    emit_tensors = args.emit_tensors or options.get("emit_tensors", False)
 
     validation_tols = {k: v for k, v in tols.items() if k != "tensor_reality"}
     imag_tol = tols.get("tensor_reality", IMAG_TOL)

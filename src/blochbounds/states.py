@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -22,6 +23,11 @@ KIND_PARAMS = MappingProxyType({
 
 # kinds with a conventional size when the request does not spell one out
 _DEFAULT_CTX = {"ghz": (3, 2), "w": (3, 2), "bell": (2, 2), "ghz_noise": (3, 2)}
+
+# top-level fields of a spec; gen-state output adds the last two, which
+# carry no construction input
+_SPEC_FIELDS = ("kind", "n_parties", "local_dim", "params", "seed",
+               "schema_version", "source_kind")
 
 _VALIDATE_KEYS = {"hermiticity": "hermiticity_tol", "trace": "trace_tol",
                   "positivity": "positivity_tol"}
@@ -46,6 +52,10 @@ class StateSpec:
             raise ValueError("state spec must be a JSON object")
         if "kind" not in payload:
             raise ValueError("state spec needs a 'kind' field")
+        unknown = sorted(str(key) for key in payload if key not in _SPEC_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown spec fields: {', '.join(unknown)}; "
+                             f"accepted: {', '.join(_SPEC_FIELDS)}")
         kind = payload["kind"]
         params = payload.get("params", {})
         if not isinstance(params, Mapping):
@@ -57,6 +67,11 @@ class StateSpec:
         if n is None or d is None:
             raise ValueError(f"kind {kind!r} needs explicit n_parties and local_dim")
         seed = payload.get("seed")
+        for name, value in (("n_parties", n), ("local_dim", d), ("seed", seed)):
+            if value is not None and not is_json_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         return cls(kind, PartitionContext(int(n), int(d)), params,
                    None if seed is None else int(seed))
 
@@ -71,6 +86,11 @@ class StateSpec:
 
     def with_params(self, **updates) -> "StateSpec":
         return replace(self, params={**self.params, **updates})
+
+
+def is_json_int(value) -> bool:
+    """True for an integer that JSON would write as one: no bool, no float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_kind(kind, params):

@@ -8,10 +8,12 @@ table for (N, d) = (3, 2).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from blochbounds import bounds
 from blochbounds.bounds import (
     ENTANGLED,
     GENUINELY_MULTIPARTITE,
@@ -348,6 +350,85 @@ class TestConvexRoof:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             convex_roof_upper_estimate(ghz3(), 0, 1)
+
+
+def projector_reference(rho, n_samples, seed):
+    """The roof estimate from projector members and partial-trace purities."""
+    rank = int((np.linalg.eigvalsh(rho.mat) > bounds.RANK_TOL).sum())
+    best = math.inf
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+        dec = random_decomposition(rho, rank + k % 3, np.random.default_rng(child))
+        best = min(best, sum(w * pure_concurrence_purity(member)
+                             for w, member in zip(dec.weights, dec.members)))
+    return best
+
+
+class TestKetRoof:
+    GRID = [(n, 2) for n in range(2, 8)] + [(2, 3), (3, 3), (2, 4)]
+
+    @pytest.mark.parametrize("n,d", GRID)
+    def test_matches_projector_path(self, n, d):
+        ctx = PartitionContext(n, d)
+        samples = 8 if n < 6 else 4
+        for rank in (2, 3, 4):
+            rho = random_mixed(ctx, rank, 10 * n + d + rank)
+            est = convex_roof_upper_estimate(rho, samples, rank)
+            assert abs(est - projector_reference(rho, samples, rank)) <= 1e-12
+
+    def test_full_rank_matches_projector_path(self):
+        rho = random_mixed(PartitionContext(3, 2), None, 4)
+        assert abs(convex_roof_upper_estimate(rho, 10, 8)
+                   - projector_reference(rho, 10, 8)) <= 1e-12
+
+    def _count_blocks(self, monkeypatch, block_entries):
+        blocks = []
+        best_sample = bounds._best_sample
+
+        def spy(ctx, weights, kets):
+            blocks.append(len(weights))
+            return best_sample(ctx, weights, kets)
+
+        monkeypatch.setattr(bounds, "_ROOF_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(bounds, "_best_sample", spy)
+        return blocks
+
+    def test_full_rank_split_into_blocks(self, monkeypatch):
+        # a full-rank (5,2) sample holds 32..34 kets of 32 entries, so a
+        # block of 2500 entries takes two samples and 9 samples need 5 blocks
+        rho = random_mixed(PartitionContext(5, 2), None, 6)
+        blocks = self._count_blocks(monkeypatch, 2500)
+        est = convex_roof_upper_estimate(rho, 9, 3)
+        assert blocks == [2, 2, 2, 2, 1]
+        assert abs(est - projector_reference(rho, 9, 3)) <= 1e-12
+
+    def test_block_smaller_than_one_sample(self, monkeypatch):
+        rho = random_mixed(PartitionContext(4, 2), 3, 12)
+        unsplit = convex_roof_upper_estimate(rho, 6, 2)
+        blocks = self._count_blocks(monkeypatch, 10)
+        est = convex_roof_upper_estimate(rho, 6, 2)
+        assert blocks == [1] * 6
+        assert abs(est - projector_reference(rho, 6, 2)) <= 1e-12
+        assert abs(est - unsplit) <= 1e-12
+
+    def test_never_builds_projectors(self, monkeypatch):
+        rho = random_mixed(PartitionContext(6, 2), 4, 21)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bounds, "DensityMatrix",
+                            counting("DensityMatrix", DensityMatrix))
+        monkeypatch.setattr(bounds, "partial_trace",
+                            counting("partial_trace", partial_trace))
+        convex_roof_upper_estimate(rho, 20, 1)
+        assert calls == Counter()
+        # the counters do see the projector path
+        random_decomposition(rho, 4, 0)
+        assert calls["DensityMatrix"] == 4
 
 
 class TestAnalyze:

@@ -146,6 +146,79 @@ class TestAnalyze:
         assert diag["error"] == "parse"
         assert needle in diag["message"]
 
+    @pytest.mark.parametrize("command", [["analyze"], ["gen-state"],
+                                         ["scan", "--predicate", "gme",
+                                          "--input", "-"]])
+    @pytest.mark.parametrize("field,value", [
+        ("n_parties", 3.7), ("n_parties", [3]), ("n_parties", True),
+        ("n_parties", "3"), ("local_dim", 2.0), ("seed", True),
+        ("seed", "1"), ("seed", 1.5), ("seed", -1)])
+    def test_bad_field_type_exits_1(self, capsys, monkeypatch, command,
+                                    field, value):
+        spec = {"kind": "ghz_noise_general", "n_parties": 3, "local_dim": 2,
+                "params": {"x": 0.1}, field: value}
+        code, out, err = run_cli(command, capsys, json.dumps(spec), monkeypatch)
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "parse"
+        assert field in diag["message"]
+
+    @pytest.mark.parametrize("command", [["analyze"], ["gen-state"]])
+    @pytest.mark.parametrize("field", ["parms", "nparties", "options2"])
+    def test_unknown_spec_field_exits_1(self, capsys, monkeypatch, command, field):
+        spec = {"kind": "random_mixed", "n_parties": 3, "local_dim": 2,
+                field: {"rank": 1}}
+        code, out, err = run_cli(command, capsys, json.dumps(spec), monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert field in json.loads(err)["message"]
+
+    def test_unknown_request_field_exits_1(self, capsys, monkeypatch):
+        request = json.dumps({"state": {"kind": "ghz"},
+                              "optoins": {"samples_for_roof": 5}})
+        code, out, err = run_cli(["analyze"], capsys, request, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert "optoins" in json.loads(err)["message"]
+
+    def test_negative_seed_flag_exits_1(self, capsys, monkeypatch):
+        code, _, err = run_cli(["gen-state", "--seed", "-1"], capsys,
+                               '{"kind":"ghz"}', monkeypatch)
+        assert code == 1
+        assert "seed" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("options,needle", [
+        ({"samples_for_roof": "5"}, "samples_for_roof"),
+        ({"samples_for_roof": True}, "samples_for_roof"),
+        ({"samples_for_roof": 2.7}, "samples_for_roof"),
+        ({"samples_for_roof": -1}, "samples_for_roof"),
+        ({"emit_tensors": "no"}, "emit_tensors"),
+        ({"emit_tensors": 1}, "emit_tensors"),
+    ])
+    def test_bad_option_type_exits_1(self, capsys, monkeypatch, options, needle):
+        for request in ({"kind": "ghz", "options": options},
+                        {"state": {"kind": "ghz"}, "options": options}):
+            code, out, err = run_cli(["analyze"], capsys, json.dumps(request),
+                                     monkeypatch)
+            assert code == 1
+            assert out == ""
+            diag = json.loads(err)
+            assert diag["error"] == "parse"
+            assert needle in diag["message"]
+
+    def test_gen_state_fields_accepted(self, capsys, monkeypatch):
+        # schema_version and source_kind from gen-state output are spec fields
+        code, out, _ = run_cli(["gen-state", "--seed", "3"], capsys,
+                               '{"kind":"random_mixed","n_parties":2,'
+                               '"local_dim":2,"params":{"rank":2}}', monkeypatch)
+        assert code == 0
+        doc = json.loads(out)
+        assert {"schema_version", "source_kind", "seed"} <= set(doc)
+        code, out, _ = run_cli(["analyze"], capsys, json.dumps(doc), monkeypatch)
+        assert code == 0
+        assert json.loads(out)["n_parties"] == 2
+
     def test_invalid_matrix_exits_2(self, capsys, monkeypatch):
         bad = {"kind": "dense", "n_parties": 1, "local_dim": 2,
                "params": {"matrix": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}}

@@ -78,6 +78,34 @@ class TestStateSpec:
         with pytest.raises(ValueError, match="unknown params"):
             StateSpec(kind, PartitionContext(3, 2)).with_params(**params)
 
+    @pytest.mark.parametrize("field", ["n_parties", "local_dim", "seed"])
+    @pytest.mark.parametrize("value", [3.7, 3.0, True, False, "3", [3], {"n": 3}])
+    def test_integer_fields_take_only_integers(self, field, value):
+        payload = {"kind": "random_pure", "n_parties": 3, "local_dim": 2,
+                   field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            StateSpec.from_dict(payload)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        spec = StateSpec.from_dict({"kind": "random_pure", "n_parties": np.int64(3),
+                                    "local_dim": 2, "seed": np.uint32(7)})
+        assert (spec.ctx.n_parties, spec.seed) == (3, 7)
+        assert type(spec.seed) is int
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            StateSpec.from_dict({"kind": "ghz", "seed": -2})
+
+    @pytest.mark.parametrize("field", ["parms", "nparties", "options", "Kind"])
+    def test_unknown_fields_rejected(self, field):
+        with pytest.raises(ValueError, match=f"unknown spec fields: {field}"):
+            StateSpec.from_dict({"kind": "ghz", field: 1})
+
+    def test_gen_state_fields_accepted(self):
+        spec = StateSpec("random_pure", PartitionContext(2, 2), seed=4)
+        payload = {**spec.to_dict(), "schema_version": 1, "source_kind": "ghz"}
+        assert StateSpec.from_dict(payload) == spec
+
     def test_params_must_be_object(self):
         with pytest.raises(ValueError, match="params must be a JSON object"):
             StateSpec.from_dict({"kind": "ghz", "params": [1, 2]})

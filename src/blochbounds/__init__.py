@@ -5,8 +5,9 @@ traceless Hermitian generators, turns the sector norms of that expansion
 into computable lower bounds on the concurrence and two-sided bounds on
 the tangle, and flags genuine multipartite entanglement against a
 dimension-dependent threshold. A state factory, a convex-roof sampling
-estimator, a bisection scanner for noise families, and a JSON command line
-front end round out the toolbox.
+estimator, the closed-form white-noise threshold, a generic bisection
+scanner for one-parameter families, and a JSON command line front end
+round out the toolbox.
 """
 
 from .bounds import (
@@ -28,6 +29,7 @@ from .bounds import (
     reduced_purity_sum,
     tangle_bounds,
     weighted_norm_sum,
+    white_noise_crossing,
 )
 from .generators import (
     GeneratorBasis,

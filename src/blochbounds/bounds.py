@@ -207,6 +207,27 @@ def tangle_bounds(ts: CorrelationTensorSet,
     return lower_raw, max(0.0, lower_raw), upper
 
 
+def white_noise_crossing(sigma: DensityMatrix, predicate: str) -> float:
+    """Noise weight x* where rho(x) = x 1/D + (1 - x) sigma stops passing.
+
+    The identity part adds nothing to any sector, so T^S(x) = (1 - x)
+    T^S(sigma) and the gap is g(x) = (1 - x)^2 W - K, with W the weighted
+    norm sum of sigma and K the constant. ``predicate`` "entangled" needs
+    g > 0, "gme" needs g > 2^(N-2) level^2; either way
+    x* = 1 - sqrt(need / W) from one transform of sigma. The predicate
+    holds for x < x*, and x* <= 0 means it fails already at x = 0.
+    """
+    ctx = sigma.ctx
+    coeffs = bound_coefficients(ctx)
+    need = coeffs.constant
+    if predicate == "gme":
+        need += 2 ** (ctx.n_parties - 2) * gme_threshold(ctx) ** 2
+    elif predicate != "entangled":
+        raise ValueError(f"unknown predicate {predicate!r}; "
+                         "expected 'gme' or 'entangled'")
+    return 1.0 - math.sqrt(need / weighted_norm_sum(all_tensors(sigma), coeffs))
+
+
 def detect(concurrence_lower: float, gme_level: float | None = None) -> str:
     """Verdict from the clamped lower bound, strict inequalities both ways."""
     if gme_level is not None and concurrence_lower > gme_level:
@@ -401,10 +422,10 @@ class BoundsReport:
 
 
 def analyze(rho: DensityMatrix, *, samples_for_roof: int = 0, seed: int = 0,
-            basis=None, imag_tol: float = IMAG_TOL) -> BoundsReport:
+            imag_tol: float = IMAG_TOL) -> BoundsReport:
     """Run every bound on one state and bundle the verdict."""
     ctx = rho.ctx
-    ts = all_tensors(rho, basis, imag_tol)
+    ts = all_tensors(rho, imag_tol=imag_tol)
     coeffs = bound_coefficients(ctx)
     clamped, raw = concurrence_lower_bound(ts, coeffs)
     level = gme_threshold(ctx) if ctx.n_parties >= 3 else None

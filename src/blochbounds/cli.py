@@ -15,10 +15,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import SCHEMA_VERSION, analyze
+from .bounds import SCHEMA_VERSION, analyze, white_noise_crossing
 from .linalg import HERMITICITY_TOL, POSITIVITY_TOL, TRACE_TOL, ValidationError
 from .selfcheck import run_verification
-from .states import RNG_NAME, StateSpec, is_json_int, make_state, threshold_scan
+from .states import RNG_NAME, StateSpec, is_json_int, make_state
 from .tensors import IMAG_TOL, all_tensors
 
 EXIT_OK = 0
@@ -38,6 +38,13 @@ class RequestError(ValueError):
     """The request itself is malformed (unparseable or wrong shape)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns usage errors into RequestError, so they exit 1 with JSON on stderr."""
+
+    def error(self, message):
+        raise RequestError(f"{self.prog}: {message}")
+
+
 def _emit(doc, stream=None):
     (stream or sys.stdout).write(json.dumps(doc) + "\n")
 
@@ -47,15 +54,18 @@ def _fail(code, error, **extra):
     return code
 
 
-def _read_json(path):
+def _read_json(path, empty=None):
+    """The JSON object at ``path`` (- for stdin); ``empty`` if the text is blank."""
     try:
-        if path in (None, "-"):
+        if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
         raise RequestError(f"cannot read input: {exc}") from exc
+    if empty is not None and not text.strip():
+        return empty
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -156,31 +166,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    payload = {"kind": "ghz_noise"} if args.input is None else _read_json(args.input)
-    base = _spec(payload, None)
+    base = _spec(_read_json(args.input, empty={"kind": "ghz_noise"}), None)
     if base.kind not in ("ghz_noise", "ghz_noise_general"):
         raise RequestError("scan expects a noise family kind "
                            "(ghz_noise or ghz_noise_general)")
-    if args.predicate == "gme":
-        if base.ctx.n_parties < 3:
-            raise RequestError("the gme predicate needs at least three parties")
-        predicate = lambda rep: rep.verdict == "genuine-multipartite-entangled"
-    else:
-        predicate = lambda rep: rep.concurrence_lower > 0.0
-    tol = args.tol if args.tol is not None else 1e-5
-    if tol <= 0:
-        raise RequestError("--tol must be positive")
-
-    result = threshold_scan(lambda x: base.with_params(x=x), predicate, tol)
-    if result.no_crossing:
-        return _fail(EXIT_NO_CROSSING, "no-crossing", reason=result.reason,
-                     predicate=args.predicate, crossing_x=result.crossing_x)
+    if args.predicate == "gme" and base.ctx.n_parties < 3:
+        raise RequestError("the gme predicate needs at least three parties")
+    crossing = white_noise_crossing(make_state(base.with_params(x=0.0)),
+                                    args.predicate)
+    if crossing <= 0.0:
+        return _fail(EXIT_NO_CROSSING, "no-crossing",
+                     reason="predicate already false at x = 0",
+                     predicate=args.predicate, crossing_x=0.0)
     _emit({
         "schema_version": SCHEMA_VERSION,
-        "crossing_x": result.crossing_x,
+        "crossing_x": crossing,
         "predicate": args.predicate,
-        "tol": result.tol,
-        "iterations": result.iterations,
         "rng": RNG_NAME,
     })
     return EXIT_OK
@@ -229,7 +230,7 @@ def cmd_gen_state(args) -> int:
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blochbounds",
         description="Correlation-tensor entanglement bounds, JSON in and out.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,12 +247,12 @@ def _build_parser():
                    help="append the full sector payload to the report")
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("scan", help="bisect a noise family for a crossing")
-    p.add_argument("--input", default=None,
-                   help="family spec JSON (default: three-qubit ghz_noise)")
+    p = sub.add_parser("scan", help="noise weight where a noise family stops "
+                                    "passing the predicate")
+    p.add_argument("--input", default="-",
+                   help="family spec JSON, - for stdin; blank input means "
+                        "the three-qubit ghz_noise")
     p.add_argument("--predicate", choices=("gme", "entangled"), required=True)
-    p.add_argument("--tol", type=float, default=None,
-                   help="bisection width, default 1e-5")
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("verify", help="run the self-check suites")
@@ -273,8 +274,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except RequestError as exc:
         return _fail(EXIT_PARSE, "parse", message=str(exc))

@@ -102,6 +102,11 @@ def _check_kind(kind, params):
         accepted = ", ".join(KIND_PARAMS[kind]) or "none"
         raise ValueError(f"unknown params for kind {kind!r}: {', '.join(unknown)}; "
                          f"accepted: {accepted}")
+    if "rank" in params and not is_json_int(params["rank"]):
+        raise ValueError(f"param rank must be an integer, got {params['rank']!r}")
+    x = params.get("x", 0.0)
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"param x must be a real number, got {x!r}")
 
 
 def _ghz_vector(ctx):

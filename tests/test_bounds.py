@@ -30,8 +30,9 @@ from blochbounds.bounds import (
     reduced_purity_sum,
     tangle_bounds,
     weighted_norm_sum,
+    white_noise_crossing,
 )
-from blochbounds.generators import apply_local_unitaries
+from blochbounds.generators import apply_local_unitaries, su_generators
 from blochbounds.linalg import (
     DensityMatrix,
     PartitionContext,
@@ -462,6 +463,12 @@ class TestAnalyze:
         assert doc["concurrence_clamped"] is False
         assert "zero_snap" in doc["tolerances"]
 
+    def test_basis_keyword_removed(self):
+        # a Pauli basis scaled by 1.5 used to certify GME at x = 0.5
+        scaled = [1.5 * g for g in su_generators(2)]
+        with pytest.raises(TypeError):
+            analyze(noisy_ghz(0.5), basis=scaled)
+
     def test_local_unitary_invariance_of_report(self):
         ctx = PartitionContext(3, 2)
         rng = np.random.default_rng(77)
@@ -475,3 +482,31 @@ class TestAnalyze:
             assert abs(a.tangle_upper - b.tangle_upper) < 1e-9
             assert abs(a.sum_reduced_purities - b.sum_reduced_purities) < 1e-9
             assert a.verdict == b.verdict
+
+
+class TestWhiteNoiseCrossing:
+    @pytest.mark.parametrize("n,d,seed", [(2, 2, 1), (3, 2, 2), (2, 3, 3),
+                                          (3, 3, 4), (4, 2, 5)])
+    def test_bound_reaches_level_at_crossing(self, n, d, seed):
+        # any pure sigma: at x* the raw bound sits on the predicate's level
+        sigma = haar_random_pure(PartitionContext(n, d), seed)
+        eye = np.eye(sigma.ctx.total_dim) / sigma.ctx.total_dim
+
+        def raw_at(x):
+            rho = DensityMatrix(sigma.ctx, x * eye + (1.0 - x) * sigma.mat)
+            return analyze(rho).concurrence_lower_raw
+
+        x = white_noise_crossing(sigma, "entangled")
+        assert 0.0 < x < 1.0
+        assert raw_at(x) == 0.0
+        if n >= 3:
+            level = gme_threshold(sigma.ctx)
+            x = white_noise_crossing(sigma, "gme")
+            if x > 0.0:
+                assert abs(raw_at(x) - level) <= 1e-12
+            else:
+                assert raw_at(0.0) < level
+
+    def test_unknown_predicate_rejected(self):
+        with pytest.raises(ValueError, match="predicate"):
+            white_noise_crossing(ghz3(), "separable")

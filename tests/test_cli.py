@@ -6,13 +6,26 @@ streams can be asserted without spawning interpreters.
 
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from blochbounds import bounds, cli, states
+from blochbounds.bounds import GENUINELY_MULTIPARTITE, analyze, white_noise_crossing
 from blochbounds.cli import main
-from blochbounds.states import StateSpec, make_state
+from blochbounds.linalg import PartitionContext
+from blochbounds.states import StateSpec, make_state, threshold_scan
 from blochbounds.tensors import all_tensors
+
+GME_CROSSING = 0.083484861008832
+ENT_CROSSING = 0.2788897449072022
+
+# the scan predicates, phrased on the analysis report for the bisection oracle
+REPORT_PREDICATES = {
+    "gme": lambda rep: rep.verdict == GENUINELY_MULTIPARTITE,
+    "entangled": lambda rep: rep.concurrence_lower > 0.0,
+}
 
 
 def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -152,11 +165,19 @@ class TestAnalyze:
     @pytest.mark.parametrize("field,value", [
         ("n_parties", 3.7), ("n_parties", [3]), ("n_parties", True),
         ("n_parties", "3"), ("local_dim", 2.0), ("seed", True),
-        ("seed", "1"), ("seed", 1.5), ("seed", -1)])
+        ("seed", "1"), ("seed", 1.5), ("seed", -1),
+        ("rank", 2.7), ("rank", True), ("rank", "2"), ("rank", None),
+        ("x", "0.05"), ("x", True), ("x", None), ("x", [0.1])])
     def test_bad_field_type_exits_1(self, capsys, monkeypatch, command,
                                     field, value):
         spec = {"kind": "ghz_noise_general", "n_parties": 3, "local_dim": 2,
-                "params": {"x": 0.1}, field: value}
+                "params": {"x": 0.1}}
+        if field == "rank":
+            spec.update(kind="random_mixed", params={"rank": value})
+        elif field == "x":
+            spec["params"] = {"x": value}
+        else:
+            spec[field] = value
         code, out, err = run_cli(command, capsys, json.dumps(spec), monkeypatch)
         assert code == 1
         assert out == ""
@@ -290,24 +311,100 @@ class TestAnalyze:
 
 
 class TestScan:
-    def test_gme_crossing(self, capsys):
-        code, out, _ = run_cli(["scan", "--predicate", "gme"], capsys)
+    def test_gme_crossing(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["scan", "--predicate", "gme"], capsys, "",
+                               monkeypatch)
         doc = json.loads(out)
         assert code == 0
         assert abs(doc["crossing_x"] - 0.083484861008832) < 1e-4
         assert doc["predicate"] == "gme"
-        assert doc["tol"] == 1e-5
 
-    def test_entangled_crossing(self, capsys):
-        code, out, _ = run_cli(["scan", "--predicate", "entangled"], capsys)
+    def test_entangled_crossing(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["scan", "--predicate", "entangled"], capsys, "",
+                               monkeypatch)
         assert code == 0
         assert abs(json.loads(out)["crossing_x"] - 0.2788897449072022) < 1e-4
 
-    def test_coarse_tol(self, capsys):
-        code, out, _ = run_cli(["scan", "--predicate", "gme", "--tol", "1e-2"],
-                               capsys)
+    @pytest.mark.parametrize("stdin_text", ["", " \n", '{"kind":"ghz_noise"}'])
+    @pytest.mark.parametrize("predicate,expect", [("gme", GME_CROSSING),
+                                                  ("entangled", ENT_CROSSING)])
+    def test_closed_form_values(self, capsys, monkeypatch, stdin_text,
+                                predicate, expect):
+        code, out, err = run_cli(["scan", "--predicate", predicate], capsys,
+                                 stdin_text, monkeypatch)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert set(doc) == {"schema_version", "crossing_x", "predicate", "rng"}
+        assert abs(doc["crossing_x"] - expect) <= 1e-12
+
+    def test_reads_family_from_stdin(self, capsys, monkeypatch):
+        spec = {"kind": "ghz_noise_general", "n_parties": 4, "local_dim": 3}
+        code, out, _ = run_cli(["scan", "--predicate", "gme"], capsys,
+                               json.dumps(spec), monkeypatch)
         assert code == 0
-        assert abs(json.loads(out)["crossing_x"] - 0.083484861008832) < 1e-2
+        expect = white_noise_crossing(
+            make_state(StateSpec.from_dict({**spec, "params": {"x": 0.0}})), "gme")
+        assert json.loads(out)["crossing_x"] == expect
+        assert abs(expect - GME_CROSSING) > 0.05
+
+    @pytest.mark.parametrize("n,d,predicate", [
+        (n, d, predicate) for n, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
+                                       (4, 3), (3, 4))
+        for predicate in ("gme", "entangled") if predicate == "entangled" or n >= 3])
+    def test_matches_bisection(self, capsys, monkeypatch, n, d, predicate):
+        spec = StateSpec("ghz_noise_general", PartitionContext(n, d))
+        code, out, err = run_cli(["scan", "--predicate", predicate], capsys,
+                                 json.dumps(spec.to_dict()), monkeypatch)
+        passes_at_zero = REPORT_PREDICATES[predicate](
+            analyze(make_state(spec.with_params(x=0.0))))
+        oracle = threshold_scan(lambda x: spec.with_params(x=x),
+                                REPORT_PREDICATES[predicate], 1e-9)
+        if passes_at_zero:
+            assert code == 0 and not oracle.no_crossing
+            assert abs(json.loads(out)["crossing_x"] - oracle.crossing_x) <= 2e-9
+        else:
+            assert code == 3 and out == ""
+            assert oracle.no_crossing
+            assert json.loads(err)["error"] == "no-crossing"
+
+    def test_knife_edge_follows_analyze(self, capsys, monkeypatch):
+        # at (4,3) the pure GHZ bound equals the GME level in exact arithmetic;
+        # analyze calls it GME by rounding, so the scan reports a crossing
+        spec = StateSpec("ghz_noise_general", PartitionContext(4, 3), {"x": 0.0})
+        assert analyze(make_state(spec)).verdict == GENUINELY_MULTIPARTITE
+        code, out, _ = run_cli(["scan", "--predicate", "gme"], capsys,
+                               json.dumps(spec.to_dict()), monkeypatch)
+        assert code == 0
+        assert 0.0 < json.loads(out)["crossing_x"] < 1e-12
+
+    def test_one_transform_no_analyze(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((bounds, "all_tensors"), (cli, "all_tensors"),
+                             (bounds, "analyze"), (cli, "analyze"),
+                             (states, "threshold_scan"), (cli, "make_state")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        code, _, _ = run_cli(["scan", "--predicate", "gme"], capsys, "",
+                             monkeypatch)
+        assert code == 0
+        assert calls == Counter(all_tensors=1, make_state=1)
+
+    @pytest.mark.parametrize("value", ["1e-2", "nan", "inf"])
+    def test_tol_rejected(self, capsys, monkeypatch, value):
+        code, out, err = run_cli(["scan", "--predicate", "gme", "--tol", value],
+                                 capsys, "", monkeypatch)
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "parse"
+        assert "--tol" in diag["message"]
 
     def test_no_crossing_exits_3(self, capsys, monkeypatch):
         # a bipartite noise family never reaches the entangled predicate at x=0? it does;
@@ -327,6 +424,34 @@ class TestScan:
                                capsys, spec, monkeypatch)
         assert code == 1
         assert "three" in json.loads(err)["message"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,needle", [
+        (["analyze", "--bogus"], "--bogus"),
+        (["analyze", "--seed", "x"], "--seed"),
+        (["gen-state", "--seed", "1.5"], "--seed"),
+        (["analyze", "--samples", "many"], "--samples"),
+        (["scan"], "--predicate"),
+        (["scan", "--predicate", "separable"], "--predicate"),
+        (["frobnicate"], "frobnicate"),
+        ([], "command"),
+    ])
+    def test_usage_error_exits_1_with_json(self, capsys, monkeypatch, argv,
+                                           needle):
+        code, out, err = run_cli(argv, capsys, "", monkeypatch)
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "parse"
+        assert needle in diag["message"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
 
 class TestVerify:

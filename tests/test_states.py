@@ -78,11 +78,14 @@ class TestStateSpec:
         with pytest.raises(ValueError, match="unknown params"):
             StateSpec(kind, PartitionContext(3, 2)).with_params(**params)
 
-    @pytest.mark.parametrize("field", ["n_parties", "local_dim", "seed"])
+    @pytest.mark.parametrize("field", ["n_parties", "local_dim", "seed", "rank"])
     @pytest.mark.parametrize("value", [3.7, 3.0, True, False, "3", [3], {"n": 3}])
     def test_integer_fields_take_only_integers(self, field, value):
         payload = {"kind": "random_pure", "n_parties": 3, "local_dim": 2,
                    field: value}
+        if field == "rank":
+            payload = {"kind": "random_mixed", "n_parties": 3, "local_dim": 2,
+                       "params": {"rank": value}}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             StateSpec.from_dict(payload)
 

@@ -20,7 +20,7 @@ from .bounds import (
     pure_concurrence_purity,
     pure_concurrence_tensor,
 )
-from .generators import apply_local_unitaries, su_generators
+from .generators import apply_local_unitaries
 from .linalg import PartitionContext, partial_trace, purity
 from .states import RNG_NAME, haar_random_pure, haar_unitary, random_mixed
 from .tensors import all_tensors, purity_from_tensors, reduced_purity_from_tensors
@@ -75,20 +75,19 @@ def run_verification(ns=(2, 3), ds=(2,), n_states: int = 50, seed: int = 0,
 
     for n, d in combos:
         ctx = PartitionContext(n, d)
-        basis = su_generators(d)
         coeffs = bound_coefficients(ctx)
         dim = ctx.total_dim
 
         for _ in range(n_states):
             psi = haar_random_pure(ctx, rng)
             gap = abs(pure_concurrence_purity(psi)
-                      - pure_concurrence_tensor(all_tensors(psi, basis), coeffs))
+                      - pure_concurrence_tensor(all_tensors(psi), coeffs))
             residuals["pure_equivalence"] = max(residuals["pure_equivalence"], gap)
 
         for i in range(n_states):
             rank = (1, 2, dim)[i % 3]
             rho = random_mixed(ctx, rank, rng)
-            ts = all_tensors(rho, basis)
+            ts = all_tensors(rho)
             residuals["purity_identity"] = max(
                 residuals["purity_identity"],
                 abs(purity_from_tensors(ts) - purity(rho)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -284,8 +285,8 @@ def threshold_scan(family: Callable[[float], StateSpec],
     """
     from .bounds import analyze  # deferred; bounds builds on this module
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
     def holds(x):
         return bool(predicate(analyze(make_state(family(x)))))

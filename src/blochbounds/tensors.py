@@ -22,12 +22,17 @@ product per party. The result holds Tr[rho * (A_1 x ... x A_N)] for every
 choice of A_k, scale included; T^S is the slice with index 0 (the identity)
 on the parties outside S. Time is O(N d^(2N+2)); each product holds its
 input and output, two arrays of d^(2N) complex entries (268 MB each at the
-4096 x 4096 cap) beside rho itself.
+4096 x 4096 cap) beside rho itself. The coefficient array is then frozen
+once and every sector is a read-only view of it, so a tensor set keeps one
+d^(2N) array and copies nothing per sector. Every squared sector norm comes
+from one more mode-wise pass over the squared coefficients, which folds each
+party axis to (identity, sum over generators).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -47,6 +52,9 @@ from .linalg import (
 
 IMAG_TOL = 1e-10
 
+# a custom basis must be Hermitian, traceless and orthonormal to this
+BASIS_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationTensorSet:
@@ -55,25 +63,37 @@ class CorrelationTensorSet:
     ``sectors[mask]`` has one axis of length d^2 - 1 per party in the mask,
     ordered by ascending party label. ``norms_sq[mask]`` caches the squared
     Frobenius norm of that sector.
+
+    Sectors are read-only: a read-only float array is kept as passed in (a
+    view, as ``all_tensors`` passes them), anything else is copied once and
+    frozen, so no caller can change a set after building it.
     """
 
     ctx: PartitionContext
     sectors: Mapping[int, np.ndarray]
     norms_sq: Mapping[int, float]
+    _size_sums: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         frozen = {}
         for mask, t in self.sectors.items():
-            a = np.array(t, dtype=float)
-            a.setflags(write=False)
-            frozen[mask] = a
+            if not (isinstance(t, np.ndarray) and t.dtype == np.float64
+                    and not t.flags.writeable):
+                t = np.array(t, dtype=float)
+                t.setflags(write=False)
+            frozen[mask] = t
+        norms = dict(self.norms_sq)
+        sums = {}
+        for mask, v in norms.items():
+            size = subset_size(mask)
+            sums[size] = sums.get(size, 0.0) + v
         object.__setattr__(self, "sectors", MappingProxyType(frozen))
-        object.__setattr__(self, "norms_sq",
-                           MappingProxyType(dict(self.norms_sq)))
+        object.__setattr__(self, "norms_sq", MappingProxyType(norms))
+        object.__setattr__(self, "_size_sums", sums)
 
     def norm_sq_by_size(self, size: int) -> float:
         """Sum of ||T^S||^2 over all subsets with |S| = size."""
-        return sum(v for m, v in self.norms_sq.items() if subset_size(m) == size)
+        return self._size_sums.get(size, 0.0)
 
     def as_payload(self) -> list:
         """JSON-ready sector list with flattened entries."""
@@ -89,6 +109,56 @@ class CorrelationTensorSet:
         return out
 
 
+def _stacked_mode(generators, d: int) -> np.ndarray:
+    # mode[a, (i, j)] = A_a[j, i] for A_0 = Id and A_a = (d/2) g_(a-1):
+    # contracting it with one party's (row, col) pair takes that party's
+    # share of the trace against A_a
+    mode = np.empty((d * d, d * d), dtype=np.complex128)
+    mode[0] = np.eye(d).ravel()
+    for a, g in enumerate(generators, start=1):
+        mode[a] = (d / 2.0) * g.T.ravel()
+    return mode
+
+
+@functools.lru_cache(maxsize=None)
+def _default_mode(d: int) -> np.ndarray:
+    """Mode matrix of the Gell-Mann basis; built once per d, read-only."""
+    mode = _stacked_mode(su_generators(d), d)
+    mode.setflags(write=False)
+    return mode
+
+
+def _basis_mode(basis: GeneratorBasis, d: int) -> np.ndarray:
+    """Mode matrix of a caller's basis, after checking it is one.
+
+    The basis needs d^2 - 1 generators of shape d x d, each Hermitian and
+    traceless, with Tr[g_a g_b] = 2 delta_ab; any violation above
+    ``BASIS_TOL`` raises the invariant ``basis``.
+    """
+    k = d * d - 1
+    shapes = {np.shape(g) for g in basis.generators}
+    if len(basis.generators) != k or shapes != {(d, d)}:
+        raise ValidationError(
+            "basis", len(basis.generators), k,
+            f"expected {k} generators of shape {(d, d)}, got "
+            f"{len(basis.generators)} of shapes {sorted(shapes)}")
+    g = np.array(basis.generators)
+    flat = g.reshape(k, d * d)
+    checks = (
+        ("not Hermitian", np.abs(g - g.conj().transpose(0, 2, 1)).max()),
+        ("not traceless", np.abs(np.trace(g, axis1=1, axis2=2)).max()),
+        # for Hermitian generators Tr[g_a g_b] = <g_a, g_b>, one Gram product
+        ("not orthonormal (Tr[g_a g_b] != 2 delta_ab)",
+         np.abs(flat @ flat.conj().T - 2.0 * np.eye(k)).max()),
+    )
+    for what, worst in checks:
+        if not worst <= BASIS_TOL:
+            raise ValidationError(
+                "basis", worst, BASIS_TOL,
+                f"basis is {what}: deviation {worst:.3g}")
+    return _stacked_mode(basis.generators, d)
+
+
 def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
                   imag_tol: float, parties) -> np.ndarray:
     """Every (d/2)^|S| Tr[rho * (A_1 x ... x A_N)] in one mode-wise pass.
@@ -97,15 +167,10 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
     party; index 0 on an axis is the identity, index a >= 1 the generator
     a - 1. ``parties`` labels the axes in diagnostics. Any imaginary residue
     above ``imag_tol``, or a NaN, outside the all-identity entry (the trace)
-    raises ``tensor-reality``.
+    raises ``tensor-reality``. The array is read-only.
     """
     n, d = rho.ctx.n_parties, rho.ctx.local_dim
-    if basis is None:
-        basis = su_generators(d)
-    ops = np.concatenate([np.eye(d)[None], (d / 2.0) * np.array(basis.generators)])
-    # mode[a, (i, j)] = A_a[j, i]: contracting it with one party's (row, col)
-    # pair takes that party's share of the trace against A_a
-    mode = ops.transpose(0, 2, 1).reshape(d * d, d * d)
+    mode = _default_mode(d) if basis is None else _basis_mode(basis, d)
     pairs = [ax for k in range(n) for ax in (k, n + k)]
     c = rho.mat.reshape((d,) * (2 * n)).transpose(pairs).reshape(d * d, -1)
     for _ in range(n):
@@ -126,7 +191,9 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
             "tensor-reality", worst, imag_tol,
             f"entry {idx} of subset {[parties[k] for k in inside]} has "
             f"imaginary residue {worst:.3g}; the state is not Hermitian")
-    return c.real
+    real = c.real
+    real.setflags(write=False)
+    return real
 
 
 def _sector(coeffs: np.ndarray, mask: int) -> np.ndarray:
@@ -153,20 +220,43 @@ def correlation_tensor(rho: DensityMatrix, subset: int,
     return _sector(coeffs, red.ctx.full_mask).copy()
 
 
+def _sector_norms(coeffs: np.ndarray) -> list:
+    """||T^S||^2 for every mask S (index 0 is the squared trace term).
+
+    One mode-wise fold: each party axis of length d^2 becomes (identity,
+    sum over generators). The first axis squares as it contracts, so no
+    second d^(2N) array is made; the others are plain sums, one ``einsum``
+    each. einsum runs numpy's own loops: a real matrix product is a few
+    microseconds faster but pages in BLAS's real kernels, ~0.3 MB of RSS
+    that nothing else here needs.
+    """
+    n, q = coeffs.ndim, coeffs.shape[0]
+    c = coeffs.reshape(q, -1)
+    fold = np.empty((2, c.shape[1]))
+    np.multiply(c[0], c[0], out=fold[0])
+    np.einsum("ar,ar->r", c[1:], c[1:], out=fold[1])
+    pick = np.zeros((2, q))
+    pick[0, 0] = pick[1, 1:] = 1.0
+    for k in range(1, n):
+        fold = np.einsum("pq,kqr->kpr", pick, fold.reshape(1 << k, q, -1))
+    # axis k of the folded (2,)*n array is party k's bit of the mask
+    return fold.reshape((2,) * n).transpose(range(n)[::-1]).ravel().tolist()
+
+
 def all_tensors(rho: DensityMatrix,
                 basis: GeneratorBasis | None = None,
                 imag_tol: float = IMAG_TOL) -> CorrelationTensorSet:
-    """Every sector tensor of ``rho`` from one transform, smallest masks first."""
+    """Every sector tensor of ``rho`` from one transform, smallest masks first.
+
+    Sectors are read-only views of one coefficient array.
+    """
     ctx = rho.ctx
     coeffs = _coefficients(rho, basis, imag_tol, ctx.parties())
-    sectors = {}
-    norms = {}
-    for mask in nonempty_masks(ctx.n_parties):
-        t = _sector(coeffs, mask)
-        sectors[mask] = t
-        flat = t.ravel()
-        norms[mask] = float(np.dot(flat, flat))
-    return CorrelationTensorSet(ctx, sectors, norms)
+    masks = nonempty_masks(ctx.n_parties)
+    norms = _sector_norms(coeffs)
+    return CorrelationTensorSet(
+        ctx, {mask: _sector(coeffs, mask) for mask in masks},
+        {mask: norms[mask] for mask in masks})
 
 
 def purity_from_tensors(ts: CorrelationTensorSet) -> float:

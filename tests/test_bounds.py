@@ -423,13 +423,62 @@ class TestKetRoof:
 
         monkeypatch.setattr(bounds, "DensityMatrix",
                             counting("DensityMatrix", DensityMatrix))
+        # bounds imports no partial_trace; a call would have to add it
         monkeypatch.setattr(bounds, "partial_trace",
-                            counting("partial_trace", partial_trace))
+                            counting("partial_trace", partial_trace),
+                            raising=False)
         convex_roof_upper_estimate(rho, 20, 1)
         assert calls == Counter()
         # the counters do see the projector path
         random_decomposition(rho, 4, 0)
         assert calls["DensityMatrix"] == 4
+
+
+class TestLatticePurities:
+    """reduced_purity_sum walks the subset lattice on raw arrays."""
+
+    SHAPES = [(n, 2) for n in range(1, 8)] + [(2, 3), (3, 3), (4, 3),
+                                              (2, 4), (3, 4), (2, 5)]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    @pytest.mark.parametrize("rank", [1, 4, None])
+    def test_equals_partial_trace_sum(self, n, d, rank):
+        ctx = PartitionContext(n, d)
+        rank = None if rank is None else min(rank, ctx.total_dim)
+        rho = random_mixed(ctx, rank, 1000 + 10 * n + d)
+        expect = sum(purity(partial_trace(rho, mask))
+                     for mask in range(1, ctx.full_mask))
+        got = reduced_purity_sum(rho)
+        if n == 1:
+            assert got == expect == 0
+        else:
+            assert abs(got - expect) <= 1e-13 * expect
+
+    def test_builds_no_density_matrix_and_no_partial_trace(self, monkeypatch):
+        from blochbounds import linalg
+
+        rho = random_mixed(PartitionContext(6, 2), 4, 3)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        post_init = DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__",
+                            counting("DensityMatrix", post_init))
+        for module in (linalg, bounds):
+            for name in ("partial_trace", "check_mask"):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(linalg, name)),
+                                    raising=False)
+        reduced_purity_sum(rho)
+        assert calls == Counter()
+        # the counters do see the partial-trace path
+        linalg.partial_trace(rho, 0b11)
+        assert calls["DensityMatrix"] == calls["partial_trace"] == 1
 
 
 class TestAnalyze:

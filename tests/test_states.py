@@ -355,6 +355,15 @@ class TestThresholdScan:
         with pytest.raises(ValueError):
             threshold_scan(ghz_noise_family(), lambda rep: True, 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"),
+                                     -1e-3])
+    def test_non_finite_tol_rejected(self, tol):
+        # nan and inf used to skip the bisection and report crossing_x 0.5
+        # for a predicate whose crossing is 0.279
+        with pytest.raises(ValueError, match="finite and positive"):
+            threshold_scan(ghz_noise_family(),
+                           lambda rep: rep.concurrence_lower > 0, tol)
+
     def test_result_type(self):
         res = threshold_scan(ghz_noise_family(), lambda rep: False, 1e-2)
         assert isinstance(res, ScanResult)

@@ -27,6 +27,7 @@ from blochbounds.linalg import (
     subset_size,
 )
 from blochbounds.tensors import (
+    CorrelationTensorSet,
     all_tensors,
     correlation_tensor,
     purity_from_tensors,
@@ -391,3 +392,142 @@ class TestModeWiseTransform:
             t = correlation_tensor(rho, mask)
             assert t.shape == ts.sectors[mask].shape
             assert np.abs(t - ts.sectors[mask]).max() <= 1e-14
+
+
+def _root(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestSectorViewsAndNorms:
+    SHAPES = [(1, 2), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5)]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_sectors_are_read_only_views_of_one_array(self, n, d):
+        ctx = PartitionContext(n, d)
+        ts = all_tensors(random_state(ctx, np.random.default_rng(500 + n), rank=2))
+        roots = {id(_root(t)) for t in ts.sectors.values()}
+        assert len(roots) == 1
+        full = ts.sectors[ctx.full_mask]
+        for t in ts.sectors.values():
+            assert not t.flags.writeable
+            assert t.dtype == np.float64
+            assert np.shares_memory(t, _root(full))
+            with pytest.raises(ValueError):
+                t[(0,) * t.ndim] = 1.0
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    @pytest.mark.parametrize("rank", [1, 4, None])
+    def test_norms_equal_sector_sums_of_squares(self, n, d, rank):
+        ctx = PartitionContext(n, d)
+        rank = None if rank is None else min(rank, ctx.total_dim)
+        ts = all_tensors(random_state(ctx, np.random.default_rng(600 + 10 * n + d),
+                                      rank=rank))
+        assert list(ts.norms_sq) == list(nonempty_masks(n))
+        for mask, t in ts.sectors.items():
+            expect = float(np.sum(t * t))
+            assert abs(ts.norms_sq[mask] - expect) <= 1e-14 * expect
+        for size in range(n + 1):
+            expect = sum(v for m, v in ts.norms_sq.items() if subset_size(m) == size)
+            assert ts.norm_sq_by_size(size) == expect
+
+    def test_hand_built_set_ignores_later_mutation(self):
+        ctx = PartitionContext(2, 2)
+        mine = {1: np.ones(3), 2: np.zeros(3), 3: np.eye(3)}
+        norms = {1: 3.0, 2: 0.0, 3: 3.0}
+        ts = CorrelationTensorSet(ctx, mine, norms)
+        mine[1][:] = 7.0
+        mine[3][0, 0] = -1.0
+        norms[1] = 99.0
+        assert np.array_equal(ts.sectors[1], np.ones(3))
+        assert np.array_equal(ts.sectors[3], np.eye(3))
+        assert ts.norms_sq[1] == 3.0
+        assert ts.norm_sq_by_size(1) == 3.0
+        assert not ts.sectors[1].flags.writeable
+
+    def test_hand_built_set_copies_non_float_input(self):
+        ctx = PartitionContext(1, 2)
+        ints = np.arange(3)
+        ints.setflags(write=False)
+        ts = CorrelationTensorSet(ctx, {1: ints}, {1: 5.0})
+        assert ts.sectors[1].dtype == np.float64
+        assert not np.shares_memory(ts.sectors[1], ints)
+
+
+class TestCustomBasisCheck:
+    def _rho(self, n=2, d=2):
+        return random_state(PartitionContext(n, d), np.random.default_rng(700), rank=2)
+
+    def _expect_basis_error(self, rho, basis):
+        with pytest.raises(ValidationError) as err:
+            all_tensors(rho, basis)
+        assert err.value.invariant == "basis"
+        with pytest.raises(ValidationError) as err_one:
+            correlation_tensor(rho, 0b01, basis)
+        assert err_one.value.invariant == "basis"
+        return err.value
+
+    def test_non_hermitian_rejected(self):
+        gens = list(su_generators(2))
+        gens[1] = np.array([[0, 1], [0, 0]], dtype=complex) * np.sqrt(2)
+        err = self._expect_basis_error(self._rho(), GeneratorBasis(2, tuple(gens)))
+        assert "Hermitian" in str(err)
+        assert err.magnitude == pytest.approx(np.sqrt(2))
+
+    def test_non_traceless_rejected(self):
+        gens = list(su_generators(3))
+        gens[0] = gens[0] + 1e-9 * np.eye(3)
+        err = self._expect_basis_error(self._rho(2, 3), GeneratorBasis(3, tuple(gens)))
+        assert "traceless" in str(err)
+
+    @pytest.mark.parametrize("scale", [1.5, 1 + 1e-11])
+    def test_non_orthonormal_rejected(self, scale):
+        # the scaled Pauli basis that used to certify GME at x = 0.5
+        basis = GeneratorBasis(2, tuple(scale * g for g in su_generators(2)))
+        err = self._expect_basis_error(self._rho(), basis)
+        assert "orthonormal" in str(err)
+        assert err.tolerance == 1e-12
+
+    def test_non_orthogonal_rejected(self):
+        sx, sy, sz = su_generators(2)
+        mixed = (sx + sz) / np.sqrt(2)  # normalized, but overlaps sx
+        self._expect_basis_error(self._rho(), GeneratorBasis(2, (sx, sy, mixed)))
+
+    @pytest.mark.parametrize("gens", [
+        tuple(su_generators(2))[:2],                       # too few
+        tuple(su_generators(2)) + (np.zeros((2, 2)),),     # too many
+        tuple(su_generators(3))[:3],                       # d = 3 blocks on d = 2
+    ])
+    def test_wrong_size_rejected(self, gens):
+        basis = GeneratorBasis(2, gens)
+        err = self._expect_basis_error(self._rho(), basis)
+        assert err.tolerance == 3
+
+    def test_tiny_rounding_accepted(self):
+        rho = self._rho()
+        basis = GeneratorBasis(2, tuple((1 + 1e-14) * g for g in su_generators(2)))
+        ts, ref = all_tensors(rho, basis), all_tensors(rho)
+        for mask, t in ts.sectors.items():
+            assert np.abs(t - ref.sectors[mask]).max() <= 1e-13
+
+    def test_default_basis_skips_the_check(self, monkeypatch):
+        from blochbounds import selfcheck, tensors
+
+        def refuse(basis, d):
+            raise AssertionError("default basis was checked")
+
+        monkeypatch.setattr(tensors, "_basis_mode", refuse)
+        all_tensors(self._rho(3, 2))
+        correlation_tensor(self._rho(3, 2), 0b101)
+        summary = selfcheck.run_verification(ns=(2,), ds=(2, 3), n_states=3,
+                                             roof_samples=2)
+        assert summary["all_passed"]
+
+    def test_default_mode_built_once_per_dimension(self):
+        from blochbounds import tensors
+
+        mode = tensors._default_mode(3)
+        assert tensors._default_mode(3) is mode
+        assert not mode.flags.writeable
+        assert mode.shape == (9, 9)

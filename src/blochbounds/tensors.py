@@ -22,16 +22,16 @@ product per party. The result holds Tr[rho * (A_1 x ... x A_N)] for every
 choice of A_k, scale included; T^S is the slice with index 0 (the identity)
 on the parties outside S. Time is O(N d^(2N+2)); each product holds its
 input and output, two arrays of d^(2N) complex entries (268 MB each at the
-4096 x 4096 cap) beside rho itself. The coefficient array is then frozen
-once and every sector is a read-only view of it, so a tensor set keeps one
-d^(2N) array and copies nothing per sector. Every squared sector norm comes
-from one more mode-wise pass over the squared coefficients, which folds each
-party axis to (identity, sum over generators).
+4096 x 4096 cap) beside rho itself. The real part is then copied into one
+float array, frozen once, and every sector is a read-only view of it, so a
+tensor set keeps one d^(2N) float array (134 MB at the cap) and copies
+nothing per sector. Every squared sector norm comes from one more mode-wise
+pass over the squared coefficients, which folds each party axis to
+(identity, sum over generators).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -56,6 +56,18 @@ IMAG_TOL = 1e-10
 BASIS_TOL = 1e-12
 
 
+def _frozen_chain(a: np.ndarray) -> bool:
+    """True when ``a`` and every array it views are read-only, down to an
+    array that owns its memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return False  # memory held by a non-array buffer, which may be writable
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationTensorSet:
     """Every sector tensor of one state, keyed by subset mask.
@@ -64,9 +76,10 @@ class CorrelationTensorSet:
     ordered by ascending party label. ``norms_sq[mask]`` caches the squared
     Frobenius norm of that sector.
 
-    Sectors are read-only: a read-only float array is kept as passed in (a
-    view, as ``all_tensors`` passes them), anything else is copied once and
-    frozen, so no caller can change a set after building it.
+    Sectors are read-only: a float array is kept as passed in (a view, as
+    ``all_tensors`` passes them) only when it and every array it views are
+    read-only; anything else is copied once and frozen, so no caller can
+    change a set after building it.
     """
 
     ctx: PartitionContext
@@ -78,7 +91,7 @@ class CorrelationTensorSet:
         frozen = {}
         for mask, t in self.sectors.items():
             if not (isinstance(t, np.ndarray) and t.dtype == np.float64
-                    and not t.flags.writeable):
+                    and _frozen_chain(t)):
                 t = np.array(t, dtype=float)
                 t.setflags(write=False)
             frozen[mask] = t
@@ -120,11 +133,21 @@ def _stacked_mode(generators, d: int) -> np.ndarray:
     return mode
 
 
-@functools.lru_cache(maxsize=None)
+# Default mode matrices are cached up to this local dimension, where one
+# takes 1 MB; larger ones (268 MB at d = 64) are rebuilt on each call, which
+# costs far less than the transform they feed.
+_MODE_CACHE_MAX_DIM = 16
+_default_modes: dict = {}
+
+
 def _default_mode(d: int) -> np.ndarray:
-    """Mode matrix of the Gell-Mann basis; built once per d, read-only."""
-    mode = _stacked_mode(su_generators(d), d)
-    mode.setflags(write=False)
+    """Mode matrix of the Gell-Mann basis, read-only."""
+    mode = _default_modes.get(d)
+    if mode is None:
+        mode = _stacked_mode(su_generators(d), d)
+        mode.setflags(write=False)
+        if d <= _MODE_CACHE_MAX_DIM:
+            _default_modes[d] = mode
     return mode
 
 
@@ -167,7 +190,8 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
     party; index 0 on an axis is the identity, index a >= 1 the generator
     a - 1. ``parties`` labels the axes in diagnostics. Any imaginary residue
     above ``imag_tol``, or a NaN, outside the all-identity entry (the trace)
-    raises ``tensor-reality``. The array is read-only.
+    raises ``tensor-reality``. The array is a read-only float copy that
+    owns its memory; the complex product is freed on return.
     """
     n, d = rho.ctx.n_parties, rho.ctx.local_dim
     mode = _default_mode(d) if basis is None else _basis_mode(basis, d)
@@ -191,7 +215,7 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
             "tensor-reality", worst, imag_tol,
             f"entry {idx} of subset {[parties[k] for k in inside]} has "
             f"imaginary residue {worst:.3g}; the state is not Hermitian")
-    real = c.real
+    real = np.ascontiguousarray(c.real)
     real.setflags(write=False)
     return real
 

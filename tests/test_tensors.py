@@ -416,6 +416,11 @@ class TestSectorViewsAndNorms:
             assert np.shares_memory(t, _root(full))
             with pytest.raises(ValueError):
                 t[(0,) * t.ndim] = 1.0
+        # the root is the float copy itself, not a view of the complex product
+        root = _root(full)
+        assert root.dtype == np.float64 and root.flags.owndata
+        assert not root.flags.writeable
+        assert root.nbytes == 8 * d ** (2 * n)
 
     @pytest.mark.parametrize("n,d", SHAPES)
     @pytest.mark.parametrize("rank", [1, 4, None])
@@ -435,15 +440,22 @@ class TestSectorViewsAndNorms:
     def test_hand_built_set_ignores_later_mutation(self):
         ctx = PartitionContext(2, 2)
         mine = {1: np.ones(3), 2: np.zeros(3), 3: np.eye(3)}
-        norms = {1: 3.0, 2: 0.0, 3: 3.0}
+        # a read-only view of a writable array is still the caller's to change
+        behind = np.full(3, 2.0)
+        view = behind.view()
+        view.setflags(write=False)
+        mine[2] = view
+        norms = {1: 3.0, 2: 12.0, 3: 3.0}
         ts = CorrelationTensorSet(ctx, mine, norms)
         mine[1][:] = 7.0
         mine[3][0, 0] = -1.0
+        behind[:] = 7.0
         norms[1] = 99.0
         assert np.array_equal(ts.sectors[1], np.ones(3))
+        assert np.array_equal(ts.sectors[2], np.full(3, 2.0))
         assert np.array_equal(ts.sectors[3], np.eye(3))
         assert ts.norms_sq[1] == 3.0
-        assert ts.norm_sq_by_size(1) == 3.0
+        assert ts.norm_sq_by_size(1) == 15.0
         assert not ts.sectors[1].flags.writeable
 
     def test_hand_built_set_copies_non_float_input(self):
@@ -531,3 +543,13 @@ class TestCustomBasisCheck:
         assert tensors._default_mode(3) is mode
         assert not mode.flags.writeable
         assert mode.shape == (9, 9)
+
+    def test_large_default_mode_not_kept(self):
+        from blochbounds import tensors
+
+        d = tensors._MODE_CACHE_MAX_DIM + 1
+        mode = tensors._default_mode(d)
+        assert not mode.flags.writeable
+        assert tensors._default_mode(d) is not mode
+        assert d not in tensors._default_modes
+        np.testing.assert_array_equal(tensors._default_mode(d), mode)

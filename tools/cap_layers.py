@@ -17,8 +17,10 @@ the walk's sum against the sum of ``reduced_purity_from_tensors`` over all
 proper subsets to a relative 1e-10.
 
 The record carries the commit, whether tracked sources differ from it, and
-the package version. ``--out`` (default ``BENCH_cap.json`` beside ``src/``)
-keeps one run per (commit, dirty, quick); a new run replaces its match.
+the package version. ``BENCH_cap.json`` at the repository root keeps one run
+per (commit, dirty, quick); a new run replaces its match, so runs of other
+commits (a parent's, say, made by running this script in a checkout of the
+parent that holds a copy of this file) stay beside it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_cap.json"
 SHAPES = ((10, 2), (12, 2), (6, 4), (4, 8), (3, 16), (2, 64))
 QUICK_SHAPES = ((10, 2), (6, 4))
 RANK = 4
@@ -142,7 +145,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="run only (10, 2) and (6, 4)")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cap.json")
     parser.add_argument("--shape", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -184,9 +186,9 @@ def main(argv=None) -> int:
         "shapes": shapes,
     }
     key = ("commit", "dirty", "quick")
-    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
+    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs = [r for r in runs if any(r[k] != run[k] for k in key)] + [run]
-    args.out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
     return 0
 
 

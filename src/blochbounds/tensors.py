@@ -207,6 +207,7 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
     residue[0] = 0.0
     flat = int(np.argmax(residue))
     worst = float(residue[flat])
+    del residue  # so the float copy below peaks at rho, c and one copy
     if not worst <= imag_tol:
         entry = np.unravel_index(flat, c.shape)
         inside = [k for k in range(n) if entry[k]]

@@ -40,7 +40,7 @@ from .linalg import (
     parties_from_mask,
     purity,
 )
-from .states import RNG_NAME, haar_unitary
+from .states import RNG_NAME, ginibre, haar_from_ginibre
 from .tensors import IMAG_TOL, CorrelationTensorSet, all_tensors
 
 SCHEMA_VERSION = 1
@@ -304,19 +304,36 @@ def _eigen_factor(rho):
     return evecs[:, keep] * np.sqrt(evals[keep])
 
 
-def _mix_decomposition(factor, size, rng):
-    """Weights and normalized member kets (columns) of one random ensemble.
+# Complex entries in one working array of the roof estimate: a block of
+# stacked samples, or the quartic form's Gram products. Consecutive samples
+# share a block up to this size; a larger sample forms a block of its own.
+# Bounds memory only: no sample's value depends on it.
+_ROOF_BLOCK_ENTRIES = 1 << 20
 
-    rho = A A* for A = factor @ (first rank rows of a Haar unitary); the
-    column norms of A give the weights, its normalized columns the kets.
+# Members whose squared norm falls below this carry no weight.
+_WEIGHT_FLOOR = 1e-14
+
+
+def _haar_coefficients(rank, draws) -> list:
+    """Coefficients of one random ensemble per (size, rng) draw, as one
+    (draws, rank, size) stack per size.
+
+    rho = A A* for A = factor @ U, with U the first rank rows of a Haar
+    unitary of the given size; member j is column j of A. Each draw takes
+    its Ginibre matrix from its own generator, and the draws of one size
+    share one stacked QR, so every U equals ``haar_unitary(size, rng)``'s.
     """
-    rank = factor.shape[1]
-    a = factor @ haar_unitary(size, rng)[:rank, :]
-    raw_weights = np.einsum("ij,ij->j", a.conj(), a).real
-    keep = raw_weights > 1e-14
-    a = a[:, keep]
-    raw_weights = raw_weights[keep]
-    return raw_weights / raw_weights.sum(), a / np.sqrt(raw_weights)
+    stacks = []
+    for size in sorted({size for size, _ in draws}):
+        g = np.stack([ginibre(size, rng) for s, rng in draws if s == size])
+        stacks.append(haar_from_ginibre(g)[:, :rank])
+    return stacks
+
+
+def _member_weights(gram, u) -> np.ndarray:
+    """||factor @ u_j||^2 = Re(u_j* (F*F) u_j) for every column j of ``u``
+    (the last two axes), from the rank x rank Gram F*F of the factor."""
+    return np.einsum("...ij,...ij->...j", u.conj(), gram @ u).real
 
 
 def random_decomposition(rho: DensityMatrix, size: int,
@@ -330,53 +347,126 @@ def random_decomposition(rho: DensityMatrix, size: int,
     rank = factor.shape[1]
     if size < rank:
         raise ValueError(f"need at least rank {rank} members, got {size}")
-    weights, kets = _mix_decomposition(factor, size, np.random.default_rng(rng))
+    ((u,),) = _haar_coefficients(rank, [(size, np.random.default_rng(rng))])
+    weights = _member_weights(factor.conj().T @ factor, u)
+    keep = weights > _WEIGHT_FLOOR
+    weights = weights[keep]
+    kets = (factor @ u[:, keep]) / np.sqrt(weights)
     members = tuple(DensityMatrix(rho.ctx, np.outer(ket, ket.conj()))
                     for ket in kets.T)
-    return EnsembleDecomposition(tuple(weights), members)
+    return EnsembleDecomposition(tuple(weights / weights.sum()), members)
 
 
-# Complex entries in one block of stacked member kets of the roof estimate.
-# Consecutive samples share a block up to this size; a larger sample forms
-# a block of its own. Bounds memory only: no sample's value depends on it.
-_ROOF_BLOCK_ENTRIES = 1 << 20
-
-
-def _ket_concurrences(kets: np.ndarray, ctx: PartitionContext) -> np.ndarray:
-    """Pure-state concurrence of every row of a (members, d^N) ket block.
-
-    Tr[rho_S^2] = ||M M*||_F^2 for M the ket reshaped to d^|S| x d^(N-|S|),
-    formed on the smaller side with one batched matmul per subset. S and
-    its complement share the value, so only the subsets without party N are
-    visited and their sum is doubled.
-    """
-    n, d = ctx.n_parties, ctx.local_dim
-    m = kets.shape[0]
-    t = kets.reshape((m,) + (d,) * n)  # axis p holds party p
-    total = np.zeros(m)
-    for mask in range(1, 1 << (n - 1)):
+def _bipartitions(ctx: PartitionContext):
+    """(inside, outside) party lists of the 2^(N-1) - 1 bipartitions S | S^c,
+    S running over the nonempty subsets without party N; ``inside`` is the
+    smaller side, so it spans a = d^min(|S|, N-|S|) dimensions."""
+    for mask in range(1, 1 << (ctx.n_parties - 1)):
         inside = list(parties_from_mask(mask))
         outside = [p for p in ctx.parties() if p not in inside]
         if len(inside) > len(outside):
             inside, outside = outside, inside
-        mat = t.transpose([0] + inside + outside).reshape(
-            m, d ** len(inside), d ** len(outside))
-        gram = mat @ mat.conj().transpose(0, 2, 1)
-        parts = gram.reshape(m, -1).view(np.float64)  # re, im interleaved
-        total += np.einsum("ij,ij->i", parts, parts)
-    radicand = (2 ** n - 2) - 2.0 * total
-    return 2.0 ** (1 - n / 2) * np.sqrt(np.maximum(radicand, 0.0))
+        yield inside, outside
 
 
-def _best_sample(ctx, weights, kets) -> float:
-    """Least ensemble-averaged concurrence among the samples of one block.
+def _split(rows: np.ndarray, ctx: PartitionContext, inside, outside):
+    """The (m, d^N) rows reshaped to (m, a, b) along one bipartition."""
+    d = ctx.local_dim
+    t = rows.reshape((rows.shape[0],) + (d,) * ctx.n_parties)
+    return t.transpose([0] + inside + outside).reshape(
+        rows.shape[0], d ** len(inside), d ** len(outside))
 
-    ``weights`` and ``kets`` hold one entry per sample: its member weights
-    and its (members, d^N) ket rows.
+
+def _ket_purity_sums(kets: np.ndarray, ctx: PartitionContext) -> np.ndarray:
+    """sum_S Tr[rho_S^2] over the bipartitions, for every row of a
+    (members, d^N) block of kets (unnormalized: the sum scales as |ket|^4).
+
+    Tr[rho_S^2] = ||M M*||_F^2 for M the ket reshaped to a x b, formed on
+    the smaller side with one batched matmul per bipartition.
     """
-    conc = _ket_concurrences(np.concatenate(kets), ctx)
-    sample = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
-    return float(np.bincount(sample, np.concatenate(weights) * conc).min())
+    total = np.zeros(kets.shape[0])
+    for inside, outside in _bipartitions(ctx):
+        mat = _split(kets, ctx, inside, outside)
+        gram = mat @ mat.conj().transpose(0, 2, 1)
+        parts = gram.reshape(len(gram), -1).view(np.float64)  # re, im
+        total += np.einsum("ij,ij->i", parts, parts)
+    return total
+
+
+def _purity_form(factor: np.ndarray, ctx: PartitionContext) -> np.ndarray:
+    """The r^2 x r^2 matrix Q with sum_S Tr[rho_S^2] = x* Q x over the
+    bipartitions, for the ket factor @ c and x = c (x) conj(c).
+
+    With F_i column i of the factor reshaped on S, the reduced matrix of
+    the ket is sum_ij c_i conj(c_j) G_ij for G_ij = F_i F_j*, so Q is the
+    Gram matrix of the G_ij: one (r a x b)(b x r a) product gives them
+    all, and one (r^2 x a^2)(a^2 x r^2) product their inner products.
+    """
+    r = factor.shape[1]
+    form = np.zeros((r * r, r * r), dtype=complex)
+    for inside, outside in _bipartitions(ctx):
+        mat = _split(factor.T, ctx, inside, outside)
+        a = mat.shape[1]
+        flat = mat.reshape(r * a, -1)
+        blocks = (flat @ flat.conj().T).reshape(r, a, r, a)
+        g = blocks.transpose(0, 2, 1, 3).reshape(r * r, a * a)
+        form += g.conj() @ g.T
+    return form
+
+
+def _purity_form_pays(ctx: PartitionContext, rank: int) -> bool:
+    """Whether the roof estimate contracts the bipartitions first.
+
+    Per member the quartic form costs r^4 and the ket order
+    D * sum_S a_S, a_S = d^min(|S|, N-|S|); the form's Gram products hold
+    r^2 a^2 entries. The choice depends on (N, d, rank) alone, never on
+    the samples, so every sample's value is the same whatever their number.
+    """
+    n, d = ctx.n_parties, ctx.local_dim
+    per_member = ctx.total_dim * sum(math.comb(n - 1, k) * d ** min(k, n - k)
+                                     for k in range(1, n))
+    widest = d ** (n // 2)
+    return (rank ** 4 <= per_member
+            and rank * rank * widest * widest <= _ROOF_BLOCK_ENTRIES)
+
+
+def _sample_averages(u, gram, purity_sums, n) -> np.ndarray:
+    """Ensemble-averaged concurrence of every sample in a (samples, rank,
+    size) coefficient stack; ``purity_sums`` maps the stack to the
+    unnormalized sum_S Tr[rho_S^2] of each member, shape (samples, size)."""
+    w = _member_weights(gram, u)
+    keep = w > _WEIGHT_FLOOR
+    scale = np.where(keep, w, 1.0)
+    # the 2^N - 2 proper reductions pair up as S and S^c
+    radicand = (2 ** n - 2) - 2.0 * purity_sums(u) / (scale * scale)
+    conc = 2.0 ** (1 - n / 2) * np.sqrt(np.maximum(radicand, 0.0))
+    p = np.where(keep, w, 0.0)
+    return (p * conc).sum(axis=-1) / p.sum(axis=-1)
+
+
+def _roof_blocks(rank, n_samples, seed, member_entries):
+    """Coefficient stacks (one per size) of consecutive samples, per block.
+
+    Sample k has rank + k % 3 members and draws from its own spawned seed.
+    A block holds at most ``_ROOF_BLOCK_ENTRIES`` member entries
+    (``member_entries`` per member); a larger sample forms its own block.
+    """
+    children = np.random.SeedSequence(seed).spawn(n_samples)
+    draws, entries = [], 0
+    for k, child in enumerate(children):
+        size = rank + k % 3
+        if draws and entries + size * member_entries > _ROOF_BLOCK_ENTRIES:
+            yield _haar_coefficients(rank, draws)
+            draws, entries = [], 0
+        draws.append((size, np.random.default_rng(child)))
+        entries += size * member_entries
+    yield _haar_coefficients(rank, draws)
+
+
+def _best_sample(stacks, gram, purity_sums, n) -> float:
+    """Least ensemble-averaged concurrence among one block's samples."""
+    return min(float(_sample_averages(u, gram, purity_sums, n).min())
+               for u in stacks)
 
 
 def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
@@ -388,13 +478,23 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
     spawned seed, so enlarging n_samples keeps earlier samples identical
     and the estimate nonincreasing for a fixed seed.
 
-    Members stay kets and never become d^N x d^N projectors: the kets of
-    consecutive samples are stacked into blocks of at most 2^20 complex
-    entries (a larger sample runs alone), and each block's member
-    purities cost O(members * sum_S d^N d^min(|S|, N-|S|)) over the
-    2^(N-1) - 1 bipartitions S. The value agrees with the projector
-    definition (``pure_concurrence_purity`` of each member of
-    ``random_decomposition``) to rounding.
+    Every member is the ket factor @ c for rank-r coefficients c, and the
+    member's purity sum over the 2^(N-1) - 1 bipartitions S is computed in
+    one of two contraction orders, chosen from (N, d, r) alone
+    (``_purity_form_pays``):
+
+    - the quartic form: one r^2 x r^2 matrix Q per call, built from the
+      factor for O(sum_S (r^2 D a_S + r^4 a_S^2)), after which a member
+      costs O(r^4), independent of D = d^N (a_S = d^min(|S|, N-|S|));
+    - the ket order: the member ket factor @ c reshaped on each S, at
+      O(D sum_S a_S) per member, for high rank where Q is out of reach.
+
+    Weights come from the r x r Gram of the factor. Consecutive samples
+    are drawn in blocks of at most 2^20 complex member entries, each size's
+    Haar unitaries from one stacked QR. No member becomes a d^N x d^N
+    projector; the value agrees with the projector definition
+    (``pure_concurrence_purity`` of each member of ``random_decomposition``)
+    to rounding.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -403,18 +503,25 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
     if rank == 1:
         # a pure state admits only itself
         return pure_concurrence_purity(rho)
-    best = math.inf
-    weights, kets, entries = [], [], 0
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
-        w, columns = _mix_decomposition(factor, rank + k % 3,
-                                        np.random.default_rng(child))
-        if kets and entries + columns.size > _ROOF_BLOCK_ENTRIES:
-            best = min(best, _best_sample(rho.ctx, weights, kets))
-            weights, kets, entries = [], [], 0
-        weights.append(w)
-        kets.append(columns.T)
-        entries += columns.size
-    return min(best, _best_sample(rho.ctx, weights, kets))
+    ctx = rho.ctx
+    if _purity_form_pays(ctx, rank):
+        form = _purity_form(factor, ctx)
+
+        def purity_sums(u):
+            x = np.einsum("kis,kjs->ksij", u, u.conj()).reshape(
+                u.shape[0], u.shape[2], rank * rank)
+            return np.einsum("ksi,ksi->ks", x, x.conj() @ form).real
+        member_entries = rank * rank
+    else:
+        def purity_sums(u):
+            kets = (factor @ u).transpose(0, 2, 1)
+            return _ket_purity_sums(
+                kets.reshape(-1, ctx.total_dim), ctx).reshape(kets.shape[:2])
+        member_entries = ctx.total_dim
+    gram = factor.conj().T @ factor
+    return min(_best_sample(stacks, gram, purity_sums, ctx.n_parties)
+               for stacks in _roof_blocks(rank, n_samples, seed,
+                                          member_entries))
 
 
 @dataclass(frozen=True, eq=False)

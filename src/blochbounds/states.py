@@ -176,13 +176,25 @@ def _noise_mix(ctx, params):
     return (x / dim) * np.eye(dim) + (1.0 - x) * np.outer(v, v.conj())
 
 
+def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A dim x dim matrix of independent standard complex Gaussian entries."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Phase-fixed QR unitary of a Ginibre matrix, or of each in a stack.
+
+    LAPACK factors a stack one matrix at a time, so a stacked call gives
+    every matrix exactly the unitary its own call would.
+    """
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(dim: int, rng=None) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return haar_from_ginibre(ginibre(dim, np.random.default_rng(rng)))
 
 
 def haar_random_pure(ctx: PartitionContext, seed=0) -> DensityMatrix:
@@ -203,7 +215,8 @@ def random_mixed(ctx: PartitionContext, rank: int | None = None,
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    return DensityMatrix(ctx, m / m.trace().real)
+    m /= m.trace().real  # in place: no second d^N x d^N array
+    return DensityMatrix(ctx, m)
 
 
 def make_state(spec: StateSpec, tolerances: Mapping | None = None) -> DensityMatrix:

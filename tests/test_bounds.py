@@ -376,6 +376,20 @@ class TestKetRoof:
             est = convex_roof_upper_estimate(rho, samples, rank)
             assert abs(est - projector_reference(rho, samples, rank)) <= 1e-12
 
+    @pytest.mark.parametrize("n,d", GRID)
+    def test_both_orders_match_projector_path(self, monkeypatch, n, d):
+        # the grid and bound of test_matches_projector_path, in each order
+        ctx = PartitionContext(n, d)
+        samples = 8 if n < 6 else 4
+        for rank in (2, 3, 4):
+            rho = random_mixed(ctx, rank, 10 * n + d + rank)
+            reference = projector_reference(rho, samples, rank)
+            for form in (True, False):
+                monkeypatch.setattr(bounds, "_purity_form_pays",
+                                    lambda ctx, r, form=form: form)
+                est = convex_roof_upper_estimate(rho, samples, rank)
+                assert abs(est - reference) <= 1e-12
+
     def test_full_rank_matches_projector_path(self):
         rho = random_mixed(PartitionContext(3, 2), None, 4)
         assert abs(convex_roof_upper_estimate(rho, 10, 8)
@@ -385,9 +399,9 @@ class TestKetRoof:
         blocks = []
         best_sample = bounds._best_sample
 
-        def spy(ctx, weights, kets):
-            blocks.append(len(weights))
-            return best_sample(ctx, weights, kets)
+        def spy(stacks, *args):
+            blocks.append(sum(len(u) for u in stacks))
+            return best_sample(stacks, *args)
 
         monkeypatch.setattr(bounds, "_ROOF_BLOCK_ENTRIES", block_entries)
         monkeypatch.setattr(bounds, "_best_sample", spy)
@@ -397,19 +411,49 @@ class TestKetRoof:
         # a full-rank (5,2) sample holds 32..34 kets of 32 entries, so a
         # block of 2500 entries takes two samples and 9 samples need 5 blocks
         rho = random_mixed(PartitionContext(5, 2), None, 6)
+        assert not bounds._purity_form_pays(rho.ctx, 32)
         blocks = self._count_blocks(monkeypatch, 2500)
         est = convex_roof_upper_estimate(rho, 9, 3)
         assert blocks == [2, 2, 2, 2, 1]
         assert abs(est - projector_reference(rho, 9, 3)) <= 1e-12
 
     def test_block_smaller_than_one_sample(self, monkeypatch):
-        rho = random_mixed(PartitionContext(4, 2), 3, 12)
+        rho = random_mixed(PartitionContext(3, 2), 3, 12)
+        assert not bounds._purity_form_pays(rho.ctx, 3)
         unsplit = convex_roof_upper_estimate(rho, 6, 2)
         blocks = self._count_blocks(monkeypatch, 10)
         est = convex_roof_upper_estimate(rho, 6, 2)
         assert blocks == [1] * 6
         assert abs(est - projector_reference(rho, 6, 2)) <= 1e-12
         assert abs(est - unsplit) <= 1e-12
+
+    @pytest.mark.parametrize("n,d,rank", [(4, 2, 3), (3, 2, 3), (5, 2, 32)])
+    def test_order_independent_of_sample_count(self, monkeypatch, n, d, rank):
+        rho = random_mixed(PartitionContext(n, d), rank, 30 + n)
+        forms = []
+        purity_form = bounds._purity_form
+
+        def spy(*args):
+            forms.append(True)
+            return purity_form(*args)
+
+        monkeypatch.setattr(bounds, "_purity_form", spy)
+        orders = set()
+        for n_samples in (1, 2, 3, 7, 40):
+            for seed in (0, 5):
+                forms.clear()
+                convex_roof_upper_estimate(rho, n_samples, seed)
+                orders.add(len(forms))
+        assert orders == {int(bounds._purity_form_pays(rho.ctx, rank))}
+
+    def test_rule_sends_benchmark_shapes_to_the_form(self):
+        # rank 4 at (4..7, 2) contracts the bipartitions first; full rank
+        # and tiny D stay per ket
+        for n in range(4, 8):
+            assert bounds._purity_form_pays(PartitionContext(n, 2), 4)
+        assert not bounds._purity_form_pays(PartitionContext(2, 2), 2)
+        assert not bounds._purity_form_pays(PartitionContext(3, 2), 8)
+        assert not bounds._purity_form_pays(PartitionContext(10, 2), 1024)
 
     def test_never_builds_projectors(self, monkeypatch):
         rho = random_mixed(PartitionContext(6, 2), 4, 21)

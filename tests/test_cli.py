@@ -502,6 +502,26 @@ class TestGenState:
         expect = make_state(StateSpec.from_dict(spec)).mat
         assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], expect)
 
+    def test_seeded_output_bytes_unchanged_by_in_place_normalisation(
+            self, capsys, monkeypatch):
+        # random_mixed divides G G* by its trace in place; the document must
+        # be byte for byte the one the out-of-place quotient gives
+        spec = {"kind": "random_mixed", "n_parties": 4, "local_dim": 2,
+                "params": {"rank": 4}, "seed": 17}
+        code, out, _ = run_cli(["gen-state"], capsys, json.dumps(spec),
+                               monkeypatch)
+        assert code == 0
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+        m = g @ g.conj().T
+        m = m / m.trace().real
+        expect = {"schema_version": 1, "kind": "dense", "n_parties": 4,
+                  "local_dim": 2,
+                  "params": {"matrix": np.stack([m.real, m.imag],
+                                                axis=-1).tolist()},
+                  "seed": 17, "source_kind": "random_mixed"}
+        assert out == json.dumps(expect) + "\n"
+
     def test_product_kets(self, capsys, monkeypatch):
         spec = ('{"kind":"product","n_parties":2,"local_dim":2,'
                 '"params":{"kets":[[0,1],[0,1]]}}')

@@ -1,7 +1,8 @@
-"""Property tests: invariances of the reduced purities and sector norms.
+"""Property tests: invariances of the reduced purities and sector norms,
+and the bound sandwich under the sampled convex roof.
 
-Hypothesis draws the shape, rank, state seed, party permutation and local
-unitaries. Every test is derandomized (a fixed seed per test, no example
+Hypothesis draws the shape, rank, state seed, party permutation, local
+unitaries and roof seed. Every test is derandomized (a fixed seed per test, no example
 database), so a run draws the same examples each time.
 """
 
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochbounds.bounds import analyze, reduced_purity_sum
+from blochbounds import bounds
+from blochbounds.bounds import (
+    analyze,
+    convex_roof_upper_estimate,
+    reduced_purity_sum,
+)
 from blochbounds.generators import apply_local_unitaries
 from blochbounds.linalg import DensityMatrix, PartitionContext
 from blochbounds.states import haar_unitary, random_mixed
@@ -71,3 +77,24 @@ def test_tangle_lower_below_upper(shape, rank, seed):
     rep = analyze(_state(shape, rank, seed))
     assert rep.tangle_lower <= rep.tangle_upper + 1e-12
     assert rep.tangle_lower_raw <= rep.tangle_upper + 1e-12
+
+
+@PROPERTY
+@given(shape=SHAPES, rank=RANKS, seed=SEEDS, roof_seed=SEEDS)
+def test_concurrence_lower_below_roof(shape, rank, seed, roof_seed):
+    rho = _state(shape, rank, seed)
+    rep = analyze(rho)
+    assert rep.concurrence_lower <= convex_roof_upper_estimate(
+        rho, 5, roof_seed) + 1e-9
+
+
+@PROPERTY
+@given(shape=SHAPES, rank=st.integers(2, 9), seed=SEEDS, roof_seed=SEEDS)
+def test_form_and_ket_orders_agree(shape, rank, seed, roof_seed):
+    rho = _state(shape, rank, seed)
+    estimates = []
+    for form in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_purity_form_pays", lambda ctx, r: form)
+            estimates.append(convex_roof_upper_estimate(rho, 6, roof_seed))
+    assert abs(estimates[0] - estimates[1]) <= 1e-12

@@ -18,6 +18,8 @@ from blochbounds.states import (
     ScanResult,
     StateSpec,
     ghz_noise_family,
+    ginibre,
+    haar_from_ginibre,
     haar_random_pure,
     haar_unitary,
     make_state,
@@ -316,6 +318,14 @@ class TestHaarStatistics:
         assert np.allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
         again = haar_unitary(6, np.random.default_rng(5))
         assert np.array_equal(u, again)
+
+    def test_stacked_qr_gives_each_draw_its_own_unitary(self):
+        for size in (2, 5, 34):
+            seeds = range(7)
+            stack = haar_from_ginibre(np.stack(
+                [ginibre(size, np.random.default_rng(s)) for s in seeds]))
+            for s, u in zip(seeds, stack):
+                assert np.array_equal(u, haar_unitary(size, np.random.default_rng(s)))
 
     def test_rng_name(self):
         assert RNG_NAME == "pcg64"

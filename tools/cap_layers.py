@@ -1,20 +1,23 @@
 """Time the cap-sized layers of blochbounds and record them in BENCH_cap.json.
 
-    python3 tools/cap_layers.py            # every shape, a few minutes
+    python3 tools/cap_layers.py            # every shape, several minutes
     python3 tools/cap_layers.py --quick    # (10, 2) and (6, 4), under a minute
 
 Each (N, d) shape runs in its own subprocess, with BLAS pinned to one
 thread, against the sources in ``src/`` beside this script. The subprocess
 builds a seeded rank-4 ``random_mixed`` state, then runs
-``reduced_purity_sum`` and ``all_tensors`` each in a forked copy of itself.
-A forked copy starts its ``ru_maxrss`` at the current RSS, not at the
-high-water mark the state's construction left, so the peak it reports is
-the state plus that one layer; the RSS at the start is recorded beside it.
+``reduced_purity_sum``, ``all_tensors`` and
+``convex_roof_upper_estimate(rho, 11, seed)`` each in a forked copy of
+itself (``--quick`` runs the roof on (10, 2) only). A forked copy starts
+its ``ru_maxrss`` at the current RSS, not at the high-water mark the
+state's construction left, so the peak it reports is the state plus that
+one layer; the RSS at the start is recorded beside it.
 
 Every run checks its answers and fails (exit 1, nothing written) when a
-layer is wrong: ``purity_from_tensors`` against ``purity`` to 1e-10, and
-the walk's sum against the sum of ``reduced_purity_from_tensors`` over all
-proper subsets to a relative 1e-10.
+layer is wrong: ``purity_from_tensors`` against ``purity`` to 1e-10, the
+walk's sum against the sum of ``reduced_purity_from_tensors`` over all
+proper subsets to a relative 1e-10, and the roof against the clamped
+concurrence lower bound less 1e-9, which it must not fall below.
 
 The record carries the commit, whether tracked sources differ from it, and
 the package version. ``BENCH_cap.json`` at the repository root keeps one run
@@ -39,10 +42,13 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_cap.json"
 SHAPES = ((10, 2), (12, 2), (6, 4), (4, 8), (3, 16), (2, 64))
 QUICK_SHAPES = ((10, 2), (6, 4))
+QUICK_ROOF_SHAPES = ((10, 2),)
 RANK = 4
 SEED = 7
+ROOF_SAMPLES = 11
 PURITY_TOL = 1e-10
 PURITY_SUM_REL_TOL = 1e-10
+ROOF_SANDWICH_TOL = 1e-9
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -86,9 +92,11 @@ def _forked(run, summarize) -> dict:
     return json.loads(data)
 
 
-def measure(n: int, d: int) -> dict:
-    """Time both layers on one shape and check them; runs in the child."""
-    from blochbounds.bounds import reduced_purity_sum
+def measure(n: int, d: int, roof: bool) -> dict:
+    """Time the layers on one shape and check them; runs in the child."""
+    from blochbounds.bounds import (concurrence_lower_bound,
+                                    convex_roof_upper_estimate,
+                                    reduced_purity_sum)
     from blochbounds.linalg import PartitionContext, purity
     from blochbounds.states import random_mixed
     from blochbounds.tensors import (all_tensors, purity_from_tensors,
@@ -107,17 +115,27 @@ def measure(n: int, d: int) -> dict:
         from_tensors = sum(reduced_purity_from_tensors(ts, mask)
                            for mask in range(1, ctx.full_mask))
         return {"purity_gap": abs(purity_from_tensors(ts) - purity(rho)),
-                "purity_sum_rel_gap": abs(lattice - from_tensors) / from_tensors}
+                "purity_sum_rel_gap": abs(lattice - from_tensors) / from_tensors,
+                "concurrence_lower": concurrence_lower_bound(ts)[0]}
 
     tensors = _forked(lambda: all_tensors(rho), tensor_checks)
+    passed = (tensors["purity_gap"] <= PURITY_TOL
+              and tensors["purity_sum_rel_gap"] <= PURITY_SUM_REL_TOL)
+    estimate = None
+    if roof:
+        estimate = _forked(
+            lambda: convex_roof_upper_estimate(rho, ROOF_SAMPLES, SEED),
+            lambda value: {"estimate": value, "samples": ROOF_SAMPLES})
+        passed = passed and (estimate["estimate"] >= tensors["concurrence_lower"]
+                             - ROOF_SANDWICH_TOL)
     return {
         "n_parties": n,
         "local_dim": d,
         "state_s": state_s,
         "reduced_purity_sum": walk,
         "all_tensors": tensors,
-        "passed": tensors["purity_gap"] <= PURITY_TOL
-                  and tensors["purity_sum_rel_gap"] <= PURITY_SUM_REL_TOL,
+        "roof": estimate,
+        "passed": passed,
     }
 
 
@@ -130,11 +148,12 @@ def _git(*args) -> str | None:
     return out.stdout.strip()
 
 
-def _run_shape(n: int, d: int) -> dict:
+def _run_shape(n: int, d: int, roof: bool) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in BLAS_VARS})
     out = subprocess.run(
-        [sys.executable, __file__, "--shape", f"{n},{d}"],
+        [sys.executable, __file__, "--shape", f"{n},{d}"]
+        + (["--roof"] if roof else []),
         env=env, capture_output=True, text=True, check=False)
     if out.returncode:
         raise SystemExit(f"shape ({n}, {d}) failed:\n{out.stderr}")
@@ -144,13 +163,15 @@ def _run_shape(n: int, d: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="run only (10, 2) and (6, 4)")
+                        help="run only (10, 2) and (6, 4), the roof on "
+                             "(10, 2) only")
     parser.add_argument("--shape", help=argparse.SUPPRESS)
+    parser.add_argument("--roof", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.shape:  # child: one shape, one JSON line on stdout
         n, d = (int(v) for v in args.shape.split(","))
-        print(json.dumps(measure(n, d)))
+        print(json.dumps(measure(n, d, args.roof)))
         return 0
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -159,11 +180,12 @@ def main(argv=None) -> int:
 
     shapes = []
     for n, d in QUICK_SHAPES if args.quick else SHAPES:
-        shape = _run_shape(n, d)
+        shape = _run_shape(n, d, not args.quick or (n, d) in QUICK_ROOF_SHAPES)
         print(f"({n}, {d}): " + ", ".join(
             f"{layer} {shape[layer]['seconds']:.3f} s "
             f"{shape[layer]['rss_mb']:.0f} MB"
-            for layer in ("reduced_purity_sum", "all_tensors")), file=sys.stderr)
+            for layer in ("reduced_purity_sum", "all_tensors", "roof")
+            if shape[layer]), file=sys.stderr)
         shapes.append(shape)
     failed = [(s["n_parties"], s["local_dim"]) for s in shapes
               if not s["passed"]]
@@ -181,6 +203,7 @@ def main(argv=None) -> int:
         "blas_threads": 1,
         "purity_tol": PURITY_TOL,
         "purity_sum_rel_tol": PURITY_SUM_REL_TOL,
+        "roof_sandwich_tol": ROOF_SANDWICH_TOL,
         "state": f"random_mixed rank {RANK} seed {SEED}",
         "quick": args.quick,
         "shapes": shapes,

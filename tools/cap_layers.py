@@ -1,6 +1,6 @@
 """Time the cap-sized layers of blochbounds and record them in BENCH_cap.json.
 
-    python3 tools/cap_layers.py            # every shape, several minutes
+    python3 tools/cap_layers.py            # every shape, ~15 minutes
     python3 tools/cap_layers.py --quick    # (10, 2) and (6, 4), under a minute
 
 Each (N, d) shape runs in its own subprocess, with BLAS pinned to one

@@ -299,16 +299,24 @@ class EnsembleDecomposition:
 
 
 def _eigen_factor(rho):
-    evals, evecs = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2.0)
+    # (rho + rho*) / 2 formed in one d^N x d^N array
+    herm = rho.mat.conj().T
+    herm += rho.mat
+    herm *= 0.5
+    evals, evecs = np.linalg.eigh(herm)
+    del herm
     keep = evals > RANK_TOL
     return evecs[:, keep] * np.sqrt(evals[keep])
 
 
-# Complex entries in one working array of the roof estimate: a block of
-# stacked samples, or the quartic form's Gram products. Consecutive samples
-# share a block up to this size; a larger sample forms a block of its own.
-# Bounds memory only: no sample's value depends on it.
+# Complex entries in one block of stacked samples of the roof estimate.
+# Consecutive samples share a block up to this size; a larger sample forms
+# a block of its own. Bounds memory only: no sample's value depends on it.
 _ROOF_BLOCK_ENTRIES = 1 << 20
+
+# The quartic form is built when that costs at most as much as this many
+# members of the ket order (see _purity_form_pays).
+_FORM_BUILD_MEMBERS = 256
 
 # Members whose squared norm falls below this carry no weight.
 _WEIGHT_FLOOR = 1e-14
@@ -417,17 +425,25 @@ def _purity_form(factor: np.ndarray, ctx: PartitionContext) -> np.ndarray:
 def _purity_form_pays(ctx: PartitionContext, rank: int) -> bool:
     """Whether the roof estimate contracts the bipartitions first.
 
-    Per member the quartic form costs r^4 and the ket order
-    D * sum_S a_S, a_S = d^min(|S|, N-|S|); the form's Gram products hold
-    r^2 a^2 entries. The choice depends on (N, d, rank) alone, never on
-    the samples, so every sample's value is the same whatever their number.
+    With a_S = d^min(|S|, N-|S|), building Q costs
+    sum_S (r^2 D a_S + r^4 a_S^2) complex multiply-adds, once per call; a
+    member then costs r^4, against D sum_S a_S in the ket order. The form
+    is used when its build costs at most ``_FORM_BUILD_MEMBERS`` ket-order
+    members: up to there an 11-sample estimate in the form is at most a
+    few percent slower than per ket (timed up to (12,2), BLAS 1 thread);
+    at 40 samples and more the form wins well beyond it. Since
+    r^2 D sum_S a_S is part of the build, the rule admits r <= 16 only,
+    so the form's largest array, r^2 a_S^2 <= 256 D entries, stays below
+    the state's D^2 from D = 256.
+    The choice depends on (N, d, rank) alone, never on the samples, so
+    every sample's value is the same whatever their number.
     """
-    n, d = ctx.n_parties, ctx.local_dim
-    per_member = ctx.total_dim * sum(math.comb(n - 1, k) * d ** min(k, n - k)
-                                     for k in range(1, n))
-    widest = d ** (n // 2)
-    return (rank ** 4 <= per_member
-            and rank * rank * widest * widest <= _ROOF_BLOCK_ENTRIES)
+    n, d, dim = ctx.n_parties, ctx.local_dim, ctx.total_dim
+    sides = [(math.comb(n - 1, k), d ** min(k, n - k)) for k in range(1, n)]
+    ket_member = dim * sum(count * a for count, a in sides)
+    build = sum(count * (rank ** 2 * dim * a + rank ** 4 * a * a)
+                for count, a in sides)
+    return build <= _FORM_BUILD_MEMBERS * ket_member
 
 
 def _sample_averages(u, gram, purity_sums, n) -> np.ndarray:
@@ -487,7 +503,9 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
       factor for O(sum_S (r^2 D a_S + r^4 a_S^2)), after which a member
       costs O(r^4), independent of D = d^N (a_S = d^min(|S|, N-|S|));
     - the ket order: the member ket factor @ c reshaped on each S, at
-      O(D sum_S a_S) per member, for high rank where Q is out of reach.
+      O(D sum_S a_S) per member, where building Q would cost more than
+      256 such members (on the shapes up to d^N = 4096, every rank above
+      a limit of 5 to 12).
 
     Weights come from the r x r Gram of the factor. Consecutive samples
     are drawn in blocks of at most 2^20 complex member entries, each size's

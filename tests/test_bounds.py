@@ -418,8 +418,8 @@ class TestKetRoof:
         assert abs(est - projector_reference(rho, 9, 3)) <= 1e-12
 
     def test_block_smaller_than_one_sample(self, monkeypatch):
-        rho = random_mixed(PartitionContext(3, 2), 3, 12)
-        assert not bounds._purity_form_pays(rho.ctx, 3)
+        rho = random_mixed(PartitionContext(3, 2), 6, 12)
+        assert not bounds._purity_form_pays(rho.ctx, 6)
         unsplit = convex_roof_upper_estimate(rho, 6, 2)
         blocks = self._count_blocks(monkeypatch, 10)
         est = convex_roof_upper_estimate(rho, 6, 2)
@@ -427,7 +427,7 @@ class TestKetRoof:
         assert abs(est - projector_reference(rho, 6, 2)) <= 1e-12
         assert abs(est - unsplit) <= 1e-12
 
-    @pytest.mark.parametrize("n,d,rank", [(4, 2, 3), (3, 2, 3), (5, 2, 32)])
+    @pytest.mark.parametrize("n,d,rank", [(4, 2, 3), (3, 2, 6), (5, 2, 32)])
     def test_order_independent_of_sample_count(self, monkeypatch, n, d, rank):
         rho = random_mixed(PartitionContext(n, d), rank, 30 + n)
         forms = []
@@ -447,13 +447,38 @@ class TestKetRoof:
         assert orders == {int(bounds._purity_form_pays(rho.ctx, rank))}
 
     def test_rule_sends_benchmark_shapes_to_the_form(self):
-        # rank 4 at (4..7, 2) contracts the bipartitions first; full rank
-        # and tiny D stay per ket
-        for n in range(4, 8):
-            assert bounds._purity_form_pays(PartitionContext(n, 2), 4)
-        assert not bounds._purity_form_pays(PartitionContext(2, 2), 2)
+        # rank 4 on every benchmark shape contracts the bipartitions first
+        for n, d in [(4, 2), (5, 2), (6, 2), (7, 2), (3, 3), (2, 4)]:
+            assert bounds._purity_form_pays(PartitionContext(n, d), 4)
+        # the timed edge at 11 samples: the form at (10,2) rank 9 and
+        # (12,2) rank 10, the ket order one rank up and at full rank
+        for n, last_form in [(10, 9), (12, 10)]:
+            ctx = PartitionContext(n, 2)
+            assert bounds._purity_form_pays(ctx, last_form)
+            assert not bounds._purity_form_pays(ctx, last_form + 1)
         assert not bounds._purity_form_pays(PartitionContext(3, 2), 8)
         assert not bounds._purity_form_pays(PartitionContext(10, 2), 1024)
+
+    def test_rule_bounds_the_form_memory(self):
+        # the build bound admits rank <= 16, so the r^2 a^2 Gram products
+        # of the widest bipartition hold at most 256 D entries
+        for n, d in [(n, 2) for n in range(2, 13)] + [
+                (n, 3) for n in range(2, 8)] + [(2, 4), (3, 4), (6, 4),
+                                                (4, 8), (3, 16), (2, 64)]:
+            ctx = PartitionContext(n, d)
+            widest = d ** (n // 2)
+            for rank in range(1, min(ctx.total_dim, 40) + 1):
+                if bounds._purity_form_pays(ctx, rank):
+                    assert rank <= 16
+                    assert rank ** 2 * widest ** 2 <= 256 * ctx.total_dim
+
+    def test_eigen_factor_matches_out_of_place_symmetrisation(self):
+        for n, d, rank in [(3, 2, 2), (7, 2, 4), (3, 3, None), (2, 4, 5)]:
+            rho = random_mixed(PartitionContext(n, d), rank, 40 + n)
+            evals, evecs = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2.0)
+            keep = evals > bounds.RANK_TOL
+            expect = evecs[:, keep] * np.sqrt(evals[keep])
+            assert np.array_equal(bounds._eigen_factor(rho), expect)
 
     def test_never_builds_projectors(self, monkeypatch):
         rho = random_mixed(PartitionContext(6, 2), 4, 21)

@@ -17,7 +17,12 @@ Every run checks its answers and fails (exit 1, nothing written) when a
 layer is wrong: ``purity_from_tensors`` against ``purity`` to 1e-10, the
 walk's sum against the sum of ``reduced_purity_from_tensors`` over all
 proper subsets to a relative 1e-10, and the roof against the clamped
-concurrence lower bound less 1e-9, which it must not fall below.
+concurrence lower bound less 1e-9, which it must not fall below. On
+(10, 2) the forked copy then reruns the roof in the contraction order the
+rule did not pick, after the clock stops, and the two estimates must agree
+to 1e-12 (the lower bound of the seeded state is 0, so the sandwich alone
+cannot fail there; the larger shapes skip this second run, whose eigh
+would take minutes).
 
 The record carries the commit, whether tracked sources differ from it, and
 the package version. ``BENCH_cap.json`` at the repository root keeps one run
@@ -43,12 +48,14 @@ OUT = ROOT / "BENCH_cap.json"
 SHAPES = ((10, 2), (12, 2), (6, 4), (4, 8), (3, 16), (2, 64))
 QUICK_SHAPES = ((10, 2), (6, 4))
 QUICK_ROOF_SHAPES = ((10, 2),)
+ORDER_CHECK_SHAPES = ((10, 2),)
 RANK = 4
 SEED = 7
 ROOF_SAMPLES = 11
 PURITY_TOL = 1e-10
 PURITY_SUM_REL_TOL = 1e-10
 ROOF_SANDWICH_TOL = 1e-9
+ROOF_ORDER_TOL = 1e-12
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -94,6 +101,7 @@ def _forked(run, summarize) -> dict:
 
 def measure(n: int, d: int, roof: bool) -> dict:
     """Time the layers on one shape and check them; runs in the child."""
+    from blochbounds import bounds
     from blochbounds.bounds import (concurrence_lower_bound,
                                     convex_roof_upper_estimate,
                                     reduced_purity_sum)
@@ -123,11 +131,25 @@ def measure(n: int, d: int, roof: bool) -> dict:
               and tensors["purity_sum_rel_gap"] <= PURITY_SUM_REL_TOL)
     estimate = None
     if roof:
+        form = bounds._purity_form_pays(ctx, RANK)
+
+        def roof_checks(value):
+            fields = {"estimate": value, "samples": ROOF_SAMPLES,
+                      "order": "form" if form else "ket"}
+            if (n, d) in ORDER_CHECK_SHAPES:
+                # the forked copy ends after this, so the patch dies with it
+                bounds._purity_form_pays = lambda ctx, rank: not form
+                other = convex_roof_upper_estimate(rho, ROOF_SAMPLES, SEED)
+                fields["other_order_gap"] = abs(value - other)
+            return fields
+
         estimate = _forked(
             lambda: convex_roof_upper_estimate(rho, ROOF_SAMPLES, SEED),
-            lambda value: {"estimate": value, "samples": ROOF_SAMPLES})
-        passed = passed and (estimate["estimate"] >= tensors["concurrence_lower"]
-                             - ROOF_SANDWICH_TOL)
+            roof_checks)
+        passed = (passed
+                  and estimate["estimate"] >= (tensors["concurrence_lower"]
+                                               - ROOF_SANDWICH_TOL)
+                  and estimate.get("other_order_gap", 0.0) <= ROOF_ORDER_TOL)
     return {
         "n_parties": n,
         "local_dim": d,
@@ -204,6 +226,7 @@ def main(argv=None) -> int:
         "purity_tol": PURITY_TOL,
         "purity_sum_rel_tol": PURITY_SUM_REL_TOL,
         "roof_sandwich_tol": ROOF_SANDWICH_TOL,
+        "roof_order_tol": ROOF_ORDER_TOL,
         "state": f"random_mixed rank {RANK} seed {SEED}",
         "quick": args.quick,
         "shapes": shapes,

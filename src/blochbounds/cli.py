@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import SCHEMA_VERSION, analyze, white_noise_crossing
-from .linalg import HERMITICITY_TOL, POSITIVITY_TOL, TRACE_TOL, ValidationError
+from .linalg import VALIDATION_TOLS, ValidationError
 from .selfcheck import run_verification
 from .states import RNG_NAME, StateSpec, is_json_int, make_state
 from .tensors import IMAG_TOL, all_tensors
@@ -28,10 +28,7 @@ EXIT_NO_CROSSING = 3
 EXIT_VERIFY_FAILED = 4
 
 TOL_RANGE = (1e-14, 1e-4)
-TOL_NAMES = ("hermiticity", "trace", "positivity", "tensor_reality")
-
-DEFAULT_VALIDATION_TOLS = {"hermiticity": HERMITICITY_TOL, "trace": TRACE_TOL,
-                           "positivity": POSITIVITY_TOL}
+TOL_NAMES = (*VALIDATION_TOLS, "tensor_reality")
 
 
 class RequestError(ValueError):
@@ -68,7 +65,7 @@ def _read_json(path, empty=None):
         return empty
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also long ints, deep nesting
         raise RequestError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise RequestError("top-level JSON must be an object")
@@ -83,7 +80,7 @@ def _check_tolerances(tols):
         if name not in TOL_NAMES:
             raise RequestError(f"unknown tolerance {name!r}; "
                                f"expected one of {', '.join(TOL_NAMES)}")
-        if not isinstance(value, (int, float)) or not lo <= float(value) <= hi:
+        if not isinstance(value, (int, float)) or not lo <= value <= hi:
             raise RequestError(f"tolerance {name} must lie in [{lo:g}, {hi:g}]")
     return {k: float(v) for k, v in tols.items()}
 
@@ -158,7 +155,7 @@ def cmd_analyze(args) -> int:
     report = analyze(rho, samples_for_roof=samples, seed=spec.seed or 0,
                      imag_tol=imag_tol)
     doc = report.as_dict()
-    doc["tolerances"].update({**DEFAULT_VALIDATION_TOLS, **validation_tols})
+    doc["tolerances"].update({**VALIDATION_TOLS, **validation_tols})
     if emit_tensors:
         doc["tensors"] = all_tensors(rho, imag_tol=imag_tol).as_payload()
     _emit(doc)

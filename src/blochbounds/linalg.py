@@ -11,16 +11,19 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
 
 DEFAULT_DIM_CAP = 4096
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
+# validate_density's tolerances (keyword <name>_tol) and their defaults
+VALIDATION_TOLS = MappingProxyType(
+    {"hermiticity": 1e-10, "trace": 1e-10, "positivity": 1e-10})
 
 
 class ValidationError(ValueError):
@@ -67,10 +70,13 @@ class PartitionContext:
             raise ValueError(f"need at least one party, got {self.n_parties}")
         if self.local_dim < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.local_dim}")
-        if self.total_dim > self.dim_cap:
+        # d^n >= max(d, 2^n): test those first, as d^n for a huge d or n hangs
+        if (self.local_dim > self.dim_cap
+                or self.n_parties >= self.dim_cap.bit_length()
+                or self.total_dim > self.dim_cap):
             raise ValueError(
-                f"total dimension {self.local_dim}^{self.n_parties} = "
-                f"{self.total_dim} exceeds the configured cap {self.dim_cap}")
+                f"total dimension {self.local_dim}^{self.n_parties} exceeds "
+                f"the configured cap {self.dim_cap}")
 
     @property
     def total_dim(self) -> int:
@@ -212,19 +218,25 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def validate_density(mat, ctx: PartitionContext, *,
-                     hermiticity_tol: float = HERMITICITY_TOL,
-                     trace_tol: float = TRACE_TOL,
-                     positivity_tol: float = POSITIVITY_TOL) -> DensityMatrix:
+                     hermiticity_tol: float = VALIDATION_TOLS["hermiticity"],
+                     trace_tol: float = VALIDATION_TOLS["trace"],
+                     positivity_tol: float = VALIDATION_TOLS["positivity"]
+                     ) -> DensityMatrix:
     """Check density-matrix invariants and wrap the result.
 
-    Checks run in a fixed order (finite entries, shape, hermiticity, unit
-    trace, positive semidefiniteness) and the first failure raises a
-    ValidationError naming the invariant and the measured violation; a
-    ``finite`` failure reports the count of NaN or infinite entries, since
-    every later comparison would be false on them. Eigenvalues are taken
-    from the Hermitian part so a matrix that passes the hermiticity check
-    gets a well-conditioned spectrum.
+    A tolerance that is not a finite number >= 0 raises ``ValueError``: a
+    NaN one would pass every matrix. Checks run in a fixed order (finite
+    entries, shape, hermiticity, unit trace, positive semidefiniteness)
+    and the first failure raises a ValidationError naming the invariant and
+    the measured violation; a ``finite`` failure reports the count of NaN
+    or infinite entries, since every later comparison would be false on
+    them. Eigenvalues are taken from the Hermitian part so a matrix that
+    passes the hermiticity check gets a well-conditioned spectrum.
     """
+    for name, tol in zip(VALIDATION_TOLS, (hermiticity_tol, trace_tol, positivity_tol)):
+        if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+            raise ValueError(f"{name} tolerance must be a finite number >= 0, "
+                             f"got {tol!r}")
     m = np.asarray(mat, dtype=np.complex128)
     bad = int(np.count_nonzero(~np.isfinite(m)))
     if bad:

@@ -10,7 +10,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .linalg import DensityMatrix, PartitionContext, validate_density
+from .linalg import (VALIDATION_TOLS, DensityMatrix, PartitionContext,
+                     validate_density)
 
 # numpy's default_rng bit generator; recorded in reports for reproducibility
 RNG_NAME = "pcg64"
@@ -29,9 +30,6 @@ _DEFAULT_CTX = {"ghz": (3, 2), "w": (3, 2), "bell": (2, 2), "ghz_noise": (3, 2)}
 # carry no construction input
 _SPEC_FIELDS = ("kind", "n_parties", "local_dim", "params", "seed",
                "schema_version", "source_kind")
-
-_VALIDATE_KEYS = {"hermiticity": "hermiticity_tol", "trace": "trace_tol",
-                  "positivity": "positivity_tol"}
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,8 @@ def _check_kind(kind, params):
         accepted = ", ".join(KIND_PARAMS[kind]) or "none"
         raise ValueError(f"unknown params for kind {kind!r}: {', '.join(unknown)}; "
                          f"accepted: {accepted}")
+    if "kets" in params and not isinstance(params["kets"], (list, tuple)):
+        raise ValueError(f"param kets must be a list, got {params['kets']!r}")
     if "rank" in params and not is_json_int(params["rank"]):
         raise ValueError(f"param rank must be an integer, got {params['rank']!r}")
     x = params.get("x", 0.0)
@@ -127,13 +127,13 @@ def _w_vector(ctx):
     return v / np.sqrt(n)
 
 
-def _ket_array(payload, d):
-    # a ket is either d complex entries or d [re, im] pairs
+def _complex_array(payload, shape, what):
+    # entries as they are, or [re, im] pairs on a last axis of length 2
     a = np.asarray(payload)
-    if a.shape == (d, 2) and not np.iscomplexobj(a):
-        a = a[:, 0] + 1j * a[:, 1]
-    elif a.shape != (d,):
-        raise ValueError(f"each local ket must have length {d}")
+    if a.dtype.kind not in "iufc":  # no null, string, bool or object entry
+        raise ValueError(f"{what} entries must be numbers")
+    if a.shape == (*shape, 2) and not np.iscomplexobj(a):
+        a = a[..., 0] + 1j * a[..., 1]
     return a.astype(complex)
 
 
@@ -148,7 +148,9 @@ def _product_vector(ctx, params):
         raise ValueError(f"need {ctx.n_parties} local kets, got {len(kets)}")
     v = np.ones(1, dtype=complex)
     for ket in kets:
-        a = _ket_array(ket, d)
+        a = _complex_array(ket, (d,), "local ket")
+        if a.shape != (d,):
+            raise ValueError(f"each local ket must have length {d}")
         norm = np.linalg.norm(a)
         if norm < 1e-12:
             raise ValueError("local ket is numerically zero")
@@ -156,21 +158,13 @@ def _product_vector(ctx, params):
     return v
 
 
-def _dense_matrix(payload, dim):
-    # row-major [re, im] pairs from JSON, or a ready complex/real matrix
-    a = np.asarray(payload)
-    if a.shape == (dim, dim, 2) and not np.iscomplexobj(a):
-        a = a[..., 0] + 1j * a[..., 1]
-    return a.astype(complex)
-
-
 def _noise_mix(ctx, params):
     x = params.get("x")
     if x is None:
         raise ValueError("noise families need params['x']")
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
+    if not 0.0 <= x <= 1.0:  # before float(): a huge int would overflow it
         raise ValueError(f"noise weight x must lie in [0, 1], got {x}")
+    x = float(x)
     v = _ghz_vector(ctx)
     dim = ctx.total_dim
     return (x / dim) * np.eye(dim) + (1.0 - x) * np.outer(v, v.conj())
@@ -222,15 +216,15 @@ def random_mixed(ctx: PartitionContext, rank: int | None = None,
 def make_state(spec: StateSpec, tolerances: Mapping | None = None) -> DensityMatrix:
     """Build the state a spec describes and validate it.
 
-    ``tolerances`` may override the validation tolerances by name
-    (hermiticity, trace, positivity); unknown names are rejected.
+    ``tolerances`` may override the validation tolerances by name (the keys
+    of ``linalg.VALIDATION_TOLS``); unknown names are rejected.
     """
     ctx = spec.ctx
     kwargs = {}
     for name, value in (tolerances or {}).items():
-        if name not in _VALIDATE_KEYS:
+        if name not in VALIDATION_TOLS:
             raise ValueError(f"unknown validation tolerance {name!r}")
-        kwargs[_VALIDATE_KEYS[name]] = float(value)
+        kwargs[f"{name}_tol"] = value
 
     kind = spec.kind
     if kind in ("ghz", "bell", "w", "product", "ghz_noise", "ghz_noise_general"):
@@ -257,7 +251,8 @@ def make_state(spec: StateSpec, tolerances: Mapping | None = None) -> DensityMat
     elif kind == "dense":
         if "matrix" not in spec.params:
             raise ValueError("dense kind needs params['matrix']")
-        mat = _dense_matrix(spec.params["matrix"], ctx.total_dim)
+        mat = _complex_array(spec.params["matrix"], (ctx.total_dim,) * 2,
+                             "dense matrix")
     elif kind == "random_pure":
         mat = haar_random_pure(ctx, spec.seed or 0).mat
     elif kind == "random_mixed":

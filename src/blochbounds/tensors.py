@@ -23,16 +23,18 @@ choice of A_k, scale included; T^S is the slice with index 0 (the identity)
 on the parties outside S. Time is O(N d^(2N+2)); each product holds its
 input and output, two arrays of d^(2N) complex entries (268 MB each at the
 4096 x 4096 cap) beside rho itself. The real part is then copied into one
-float array, frozen once, and every sector is a read-only view of it, so a
-tensor set keeps one d^(2N) float array (134 MB at the cap) and copies
-nothing per sector. Every squared sector norm comes from one more mode-wise
-pass over the squared coefficients, which folds each party axis to
-(identity, sum over generators).
+float array, frozen once, and a tensor set is that one d^(2N) float array
+(134 MB at the cap); its sectors are read-only views of it, built on first
+access, so nothing is copied per sector. Every squared sector norm comes
+from one more mode-wise pass over the squared coefficients, which folds
+each party axis to (identity, sum over generators).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -56,53 +58,51 @@ IMAG_TOL = 1e-10
 BASIS_TOL = 1e-12
 
 
-def _frozen_chain(a: np.ndarray) -> bool:
-    """True when ``a`` and every array it views are read-only, down to an
-    array that owns its memory."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        if a.base is None:
-            return True
-        a = a.base
-    return False  # memory held by a non-array buffer, which may be writable
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationTensorSet:
-    """Every sector tensor of one state, keyed by subset mask.
+    """Every sector tensor of one state, as one coefficient array.
 
-    ``sectors[mask]`` has one axis of length d^2 - 1 per party in the mask,
-    ordered by ascending party label. ``norms_sq[mask]`` caches the squared
-    Frobenius norm of that sector.
-
-    Sectors are read-only: a float array is kept as passed in (a view, as
-    ``all_tensors`` passes them) only when it and every array it views are
-    read-only; anything else is copied once and frozen, so no caller can
-    change a set after building it.
+    ``coefficients`` has one axis of length d^2 per party; index 0 on an
+    axis is the identity, a >= 1 the generator a - 1. A read-only float64
+    array that owns its memory is kept as passed; anything else is copied
+    once and frozen. ``norms_sq[mask]``, the squared norm of a sector, is
+    derived from it, and ``sectors[mask]``, built on first access, is a
+    read-only view of it with one axis of length d^2 - 1 per party in the
+    mask, in ascending party order.
     """
 
     ctx: PartitionContext
-    sectors: Mapping[int, np.ndarray]
-    norms_sq: Mapping[int, float]
+    coefficients: np.ndarray
+    norms_sq: Mapping[int, float] = field(init=False)
     _size_sums: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        frozen = {}
-        for mask, t in self.sectors.items():
-            if not (isinstance(t, np.ndarray) and t.dtype == np.float64
-                    and _frozen_chain(t)):
-                t = np.array(t, dtype=float)
-                t.setflags(write=False)
-            frozen[mask] = t
-        norms = dict(self.norms_sq)
-        sums = {}
-        for mask, v in norms.items():
-            size = subset_size(mask)
-            sums[size] = sums.get(size, 0.0) + v
-        object.__setattr__(self, "sectors", MappingProxyType(frozen))
-        object.__setattr__(self, "norms_sq", MappingProxyType(norms))
+        c = self.coefficients
+        if not (isinstance(c, np.ndarray) and c.dtype == np.float64
+                and c.flags.owndata and not c.flags.writeable):
+            c = np.array(c, dtype=float)
+            c.setflags(write=False)
+        n, q = self.ctx.n_parties, self.ctx.local_dim ** 2
+        if c.shape != (q,) * n:
+            raise ValueError(f"coefficients of shape {c.shape}, not {(q,) * n}")
+        norms = _sector_norms(c)
+        bad = sum(not math.isfinite(v) for v in norms)
+        if bad:
+            raise ValidationError("finite", bad, 0.0,
+                                  f"{bad} squared sector norms are not finite")
+        sums = dict.fromkeys(range(n + 1), 0.0)
+        for mask in nonempty_masks(n):
+            sums[subset_size(mask)] += norms[mask]
+        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "norms_sq", MappingProxyType(
+            {mask: norms[mask] for mask in nonempty_masks(n)}))
         object.__setattr__(self, "_size_sums", sums)
+
+    @cached_property
+    def sectors(self) -> Mapping[int, np.ndarray]:
+        """Read-only views of the coefficient array, keyed by subset mask."""
+        return MappingProxyType({mask: _sector(self.coefficients, mask)
+                                 for mask in nonempty_masks(self.ctx.n_parties)})
 
     def norm_sq_by_size(self, size: int) -> float:
         """Sum of ||T^S||^2 over all subsets with |S| = size."""
@@ -273,15 +273,10 @@ def all_tensors(rho: DensityMatrix,
                 imag_tol: float = IMAG_TOL) -> CorrelationTensorSet:
     """Every sector tensor of ``rho`` from one transform, smallest masks first.
 
-    Sectors are read-only views of one coefficient array.
+    Sectors are read-only views of one array, built on first access.
     """
-    ctx = rho.ctx
-    coeffs = _coefficients(rho, basis, imag_tol, ctx.parties())
-    masks = nonempty_masks(ctx.n_parties)
-    norms = _sector_norms(coeffs)
     return CorrelationTensorSet(
-        ctx, {mask: _sector(coeffs, mask) for mask in masks},
-        {mask: norms[mask] for mask in masks})
+        rho.ctx, _coefficients(rho, basis, imag_tol, rho.ctx.parties()))
 
 
 def purity_from_tensors(ts: CorrelationTensorSet) -> float:

@@ -136,6 +136,25 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == "parse"
 
+    @pytest.mark.parametrize("request_text,needle", [
+        # these used to end in a TypeError, OverflowError or RecursionError
+        # traceback, or in a d^n that would not finish
+        ('{"kind":"product","n_parties":2,"local_dim":2,"params":{"kets":5}}',
+         "kets must be a list"),
+        ('{"kind":"ghz","options":{"tolerances":{"trace":1' + "0" * 400 + '}}}',
+         "tolerance trace must lie"),
+        ('{"kind":"ghz","n_parties":1' + "0" * 30 + '}', "configured cap"),
+        ("[" * 100000, "invalid JSON"),
+    ], ids=["kets-not-list", "huge-int-tolerance", "huge-n-parties", "deep-json"])
+    def test_malformed_values_exit_1(self, capsys, monkeypatch, request_text,
+                                     needle):
+        code, out, err = run_cli(["analyze"], capsys, request_text, monkeypatch)
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "parse"
+        assert needle in diag["message"]
+
     def test_missing_kind_exits_1(self, capsys, monkeypatch):
         code, _, err = run_cli(["analyze"], capsys, '{"params":{}}', monkeypatch)
         assert code == 1

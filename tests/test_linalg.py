@@ -126,6 +126,13 @@ class TestPartitionContext:
             PartitionContext(13, 2)
         assert PartitionContext(13, 2, dim_cap=1 << 13).total_dim == 8192
 
+    @pytest.mark.parametrize("n,d", [(10 ** 30, 2), (2, 10 ** 30), (64, 3)],
+                             ids=["huge-n", "huge-d", "n-64"])
+    def test_huge_sizes_rejected_before_the_power(self, n, d):
+        # d^n is never formed: at n = 10^30 it would not finish
+        with pytest.raises(ValueError, match="exceeds the configured cap"):
+            PartitionContext(n, d)
+
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
             PartitionContext(0, 2)
@@ -267,6 +274,22 @@ class TestValidateDensity:
         with pytest.raises(ValidationError):
             validate_density(near, ctx)
         dm = validate_density(near, ctx, positivity_tol=1e-4)
+        assert isinstance(dm, DensityMatrix)
+
+    @pytest.mark.parametrize("name", ["hermiticity_tol", "trace_tol",
+                                      "positivity_tol"])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf, "1e-10", None])
+    def test_bad_tolerance_rejected(self, name, tol):
+        # a NaN tolerance used to pass every matrix: no dev > NaN is true
+        bad = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match="tolerance must be a finite") as err:
+            validate_density(bad, PartitionContext(1, 2), **{name: tol})
+        assert not isinstance(err.value, ValidationError)
+
+    def test_zero_tolerances_accepted(self):
+        dm = validate_density(np.eye(2) / 2, PartitionContext(1, 2),
+                              hermiticity_tol=0, trace_tol=0.0,
+                              positivity_tol=np.float64(0.0))
         assert isinstance(dm, DensityMatrix)
 
 

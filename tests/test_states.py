@@ -180,6 +180,23 @@ class TestNamedStates:
             make_state(StateSpec("product", ctx,
                                  {"kets": [[0.0, 0.0], [1, 0]]}))
 
+    @pytest.mark.parametrize("kets", [5, 1.5, "ab", {"a": [1, 0]}, None])
+    def test_kets_must_be_a_list(self, kets):
+        # an int used to reach len() in _product_vector as a TypeError
+        with pytest.raises(ValueError, match="kets must be a list"):
+            StateSpec("product", PartitionContext(2, 2), {"kets": kets})
+        with pytest.raises(ValueError, match="kets must be a list"):
+            StateSpec.from_dict({"kind": "product", "n_parties": 2,
+                                 "local_dim": 2, "params": {"kets": kets}})
+
+    @pytest.mark.parametrize("ket", [[None, 1], [{}, 1], ["1", "0"], [True, False],
+                                     [10 ** 400, 0]],
+                             ids=["null", "object", "string", "bool", "huge-int"])
+    def test_ket_entries_must_be_numbers(self, ket):
+        spec = StateSpec("product", PartitionContext(2, 2), {"kets": [ket, [1, 0]]})
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            make_state(spec)
+
 
 class TestNoiseFamilies:
     def test_pure_noise_limit(self):
@@ -210,6 +227,9 @@ class TestNoiseFamilies:
             make_state(StateSpec("ghz_noise", ctx, {"x": 1.5}))
         with pytest.raises(ValueError, match="x"):
             make_state(StateSpec("ghz_noise", ctx))
+        # compared before float(), which overflows on an int this large
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            make_state(StateSpec("ghz_noise", ctx, {"x": 10 ** 400}))
 
     def test_family_helper(self):
         fam = ghz_noise_family()
@@ -232,6 +252,13 @@ class TestDense:
             make_state(StateSpec("dense", PartitionContext(1, 2), {"matrix": bad}))
         assert err.value.invariant == "positivity"
 
+    @pytest.mark.parametrize("matrix", [{"a": 1}, [[None, 0], [0, 1]],
+                                        [["0.5", "0"], ["0", "0.5"]]])
+    def test_non_number_entries_rejected(self, matrix):
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            make_state(StateSpec("dense", PartitionContext(1, 2),
+                                 {"matrix": matrix}))
+
     def test_matrix_required(self):
         with pytest.raises(ValueError, match="matrix"):
             make_state(StateSpec("dense", PartitionContext(1, 2)))
@@ -244,6 +271,13 @@ class TestDense:
         assert make_state(spec, tolerances={"positivity": 1e-4}) is not None
         with pytest.raises(ValueError, match="unknown validation tolerance"):
             make_state(spec, tolerances={"purity": 1e-6})
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_bad_tolerance_rejects_instead_of_passing(self, tol):
+        bad = [[1.5, 0.0], [0.0, -0.5]]
+        spec = StateSpec("dense", PartitionContext(1, 2), {"matrix": bad})
+        with pytest.raises(ValueError, match="positivity tolerance must be"):
+            make_state(spec, {"positivity": tol})
 
 
 class TestRandomStates:

@@ -439,32 +439,87 @@ class TestSectorViewsAndNorms:
 
     def test_hand_built_set_ignores_later_mutation(self):
         ctx = PartitionContext(2, 2)
-        mine = {1: np.ones(3), 2: np.zeros(3), 3: np.eye(3)}
-        # a read-only view of a writable array is still the caller's to change
-        behind = np.full(3, 2.0)
-        view = behind.view()
-        view.setflags(write=False)
-        mine[2] = view
-        norms = {1: 3.0, 2: 12.0, 3: 3.0}
-        ts = CorrelationTensorSet(ctx, mine, norms)
-        mine[1][:] = 7.0
-        mine[3][0, 0] = -1.0
-        behind[:] = 7.0
-        norms[1] = 99.0
+        mine = np.zeros((4, 4))
+        mine[0, 0] = 1.0
+        mine[1:, 0] = 1.0
+        mine[0, 1:] = 2.0
+        mine[1:, 1:] = np.eye(3)
+        ts = CorrelationTensorSet(ctx, mine)
+        mine[1:, 0] = 7.0
+        mine[1, 1] = -1.0
         assert np.array_equal(ts.sectors[1], np.ones(3))
         assert np.array_equal(ts.sectors[2], np.full(3, 2.0))
         assert np.array_equal(ts.sectors[3], np.eye(3))
-        assert ts.norms_sq[1] == 3.0
+        assert dict(ts.norms_sq) == {1: 3.0, 2: 12.0, 3: 3.0}
         assert ts.norm_sq_by_size(1) == 15.0
-        assert not ts.sectors[1].flags.writeable
+        for t in ts.sectors.values():
+            assert not t.flags.writeable
+        # a read-only view of a writable array is still the caller's to change
+        behind = np.ones((4, 4))
+        view = behind.view()
+        view.setflags(write=False)
+        ts = CorrelationTensorSet(ctx, view)
+        behind[:] = 7.0
+        assert not np.shares_memory(ts.coefficients, behind)
+        assert np.array_equal(ts.sectors[3], np.ones((3, 3)))
+        assert ts.norms_sq[3] == 9.0
 
     def test_hand_built_set_copies_non_float_input(self):
         ctx = PartitionContext(1, 2)
-        ints = np.arange(3)
+        ints = np.arange(4)
         ints.setflags(write=False)
-        ts = CorrelationTensorSet(ctx, {1: ints}, {1: 5.0})
+        ts = CorrelationTensorSet(ctx, ints)
+        assert ts.coefficients.dtype == np.float64
+        assert not np.shares_memory(ts.coefficients, ints)
+        assert not ts.coefficients.flags.writeable
         assert ts.sectors[1].dtype == np.float64
-        assert not np.shares_memory(ts.sectors[1], ints)
+        assert not ts.sectors[1].flags.writeable
+        assert ts.norms_sq[1] == 14.0
+
+    def test_frozen_owning_array_is_kept(self):
+        ctx = PartitionContext(2, 3)
+        coeffs = np.arange(81.0).reshape(9, 9).copy()
+        coeffs.setflags(write=False)
+        ts = CorrelationTensorSet(ctx, coeffs)
+        assert ts.coefficients is coeffs
+        assert np.shares_memory(ts.sectors[3], coeffs)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (3, 4), (4, 4, 4), (16,)])
+    def test_wrong_shape_raises(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            CorrelationTensorSet(PartitionContext(2, 2), np.ones(shape))
+
+    def test_sector_dict_with_own_norms_is_rejected(self):
+        # this set once gave a concurrence bound of 6.92 from a norm of 99
+        # that no sector had
+        ctx = PartitionContext(3, 2)
+        sectors = {1: np.ones(3), 7: np.ones((2, 2))}
+        with pytest.raises(TypeError):
+            CorrelationTensorSet(ctx, sectors, {1: 3.0, 7: 99.0})
+        with pytest.raises(TypeError):
+            CorrelationTensorSet(ctx, sectors)
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (2, 3), (2, 4)])
+    def test_hand_built_norms_are_sector_sums_of_squares(self, n, d):
+        ctx = PartitionContext(n, d)
+        coeffs = np.random.default_rng(70 + n + d).standard_normal((d * d,) * n)
+        ts = CorrelationTensorSet(ctx, coeffs)
+        assert list(ts.norms_sq) == list(nonempty_masks(n))
+        for mask, t in ts.sectors.items():
+            expect = float(np.sum(t * t))
+            assert abs(ts.norms_sq[mask] - expect) <= 1e-13 * expect
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 2), (3, 1)])
+    def test_non_finite_entry_raises_finite(self, bad, entry):
+        coeffs = np.zeros((4, 4))
+        coeffs[0, 0] = 1.0
+        coeffs[entry] = bad
+        with pytest.raises(ValidationError) as info:
+            CorrelationTensorSet(PartitionContext(2, 2), coeffs)
+        assert info.value.invariant == "finite"
+        assert info.value.magnitude >= 1
 
 
 class TestCustomBasisCheck:

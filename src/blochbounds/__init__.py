@@ -27,6 +27,7 @@ from .bounds import (
     pure_concurrence_tensor,
     random_decomposition,
     reduced_purity_sum,
+    reduced_purity_sum_from_norms,
     tangle_bounds,
     weighted_norm_sum,
     white_noise_crossing,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -82,12 +83,21 @@ def bound_coefficients(ctx: PartitionContext) -> BoundCoefficients:
     n, d = ctx.n_parties, ctx.local_dim
     if n < 2:
         raise ValueError("bounds need at least two parties")
+    constant, per_level = _level_weights(n, d)
+    return BoundCoefficients(ctx, constant, per_level)
+
+
+# Exact per-(N, d) constants (here, in _purity_sum_weights and _gme_level)
+# are rounded once and cached by (N, d), not by context, so contexts that
+# differ only in dim_cap share them.
+@cache
+def _level_weights(n: int, d: int) -> tuple:
     dn = d ** n
     constant = ((d + 1) ** n + (dn - 1) * (d + 1) ** (n - 1) - 2 ** n * dn) / dn
     per_level = {}
     for l in range(2, n + 1):
         per_level[l] = 2 ** l * ((d + 1) ** (n - 1) - (d + 1) ** (n - l)) / d ** (n + l)
-    return BoundCoefficients(ctx, constant, per_level)
+    return constant, MappingProxyType(per_level)
 
 
 def weighted_norm_sum(ts: CorrelationTensorSet, coeffs: BoundCoefficients) -> float:
@@ -142,12 +152,43 @@ def reduced_purity_sum(rho: DensityMatrix) -> float:
     reductions form a lattice: each one traces a single party out of its
     parent, walked depth first on raw arrays, which costs
     O(sum_S d^(2|S|+2)) and holds one chain of ancestors (about rho/3 at
-    d = 2) beside rho.
+    d = 2) beside rho. ``analyze`` takes the same sum from the sector norms
+    instead (``reduced_purity_sum_from_norms``).
     """
     n = rho.ctx.n_parties
     if n < 2:
         return 0.0
     return _lattice_purities(rho.mat, n, 0, rho.ctx.local_dim)
+
+
+@cache
+def _purity_sum_weights(n: int, d: int) -> tuple:
+    dn = d ** n
+    constant = ((d + 1) ** n - dn - 1) / dn
+    return constant, tuple(2 ** a * ((d + 1) ** (n - a) - 1) / d ** (n + a)
+                           for a in range(1, n))
+
+
+def reduced_purity_sum_from_norms(ts: CorrelationTensorSet) -> float:
+    """Sum of Tr[rho_S^2] over all 2^N - 2 proper nonempty reductions, from
+    the per-size sector norms n_a = ``ts.norm_sq_by_size(a)``.
+
+    Each reduced purity is Tr[rho_S^2] = d^-m sum_{A in S} (2/d)^|A| ||T^A||^2
+    with m = |S| and ||T^{}||^2 = 1. A set A of size a lies in C(N-a, m-a)
+    proper subsets of size m, so over every proper S
+
+        sum_S Tr[rho_S^2] = sum_{m=1}^{N-1} C(N, m) d^-m + sum_{a=1}^{N-1} w_a n_a,
+        w_a = (2/d)^a sum_{m=a}^{N-1} C(N-a, m-a) d^-m,
+
+    and the binomial theorem closes both sums: the constant is
+    ((d+1)^N - d^N - 1) / d^N and w_a = 2^a ((d+1)^(N-a) - 1) / d^(N+a).
+    Numerators and denominators are exact integers, so each weight is
+    rounded once. O(N) on numbers the tensor set already holds; agrees
+    with the partial-trace walk ``reduced_purity_sum`` to rounding.
+    """
+    constant, weights = _purity_sum_weights(ts.ctx.n_parties, ts.ctx.local_dim)
+    return constant + sum(w * ts.norm_sq_by_size(a)
+                          for a, w in enumerate(weights, start=1))
 
 
 def pure_concurrence_purity(psi: DensityMatrix, *,
@@ -214,6 +255,11 @@ def gme_threshold(ctx: PartitionContext) -> float:
                          "three parties")
     if n > 20:
         raise ValueError("threshold evaluation is guarded at 20 parties")
+    return _gme_level(n, d)
+
+
+@cache
+def _gme_level(n: int, d: int) -> float:
     radicand = Fraction(2 ** n - 4) + Fraction(2, d)
     if n % 2:
         for k in range(1, (n - 1) // 2 + 1):
@@ -232,9 +278,13 @@ def tangle_bounds(ts: CorrelationTensorSet,
     """Bounds on the tangle, as (lower_raw, lower, upper).
 
     lower_raw = 2^(2-N) * g reuses the concurrence gap g; the upper bound
-    2^(2-N) (2^N - 2 - sum_S Tr[rho_S^2]) takes the independently computed
-    purity sum so the two sides share no arithmetic. Both are exact on pure
-    states, where they collapse onto the squared concurrence.
+    2^(2-N) (2^N - 2 - sum_S Tr[rho_S^2]) takes the purity sum it is given.
+    ``analyze`` passes ``reduced_purity_sum_from_norms``, which reads the
+    same sector norms as g, so the two sides share their input arithmetic;
+    the checks independent of the tensors are perfbench's partial-trace
+    oracle, the cap tool's check against the walk ``reduced_purity_sum``,
+    and the property test of the closed form against the walk. Both are
+    exact on pure states, where they collapse onto the squared concurrence.
     """
     if coeffs is None:
         coeffs = bound_coefficients(ts.ctx)
@@ -591,7 +641,7 @@ def analyze(rho: DensityMatrix, *, samples_for_roof: int = 0, seed: int = 0,
     coeffs = bound_coefficients(ctx)
     clamped, raw = concurrence_lower_bound(ts, coeffs)
     level = gme_threshold(ctx) if ctx.n_parties >= 3 else None
-    red_total = reduced_purity_sum(rho)
+    red_total = reduced_purity_sum_from_norms(ts)
     t_raw, t_low, t_up = tangle_bounds(ts, coeffs, red_total)
     roof = None
     if samples_for_roof:

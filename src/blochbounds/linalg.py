@@ -225,7 +225,8 @@ def validate_density(mat, ctx: PartitionContext, *,
     """Check density-matrix invariants and wrap the result.
 
     A tolerance that is not a finite number >= 0 raises ``ValueError``: a
-    NaN one would pass every matrix. Checks run in a fixed order (finite
+    NaN one would pass every matrix, and a bool, though a ``numbers.Real``,
+    is no tolerance. Checks run in a fixed order (finite
     entries, shape, hermiticity, unit trace, positive semidefiniteness)
     and the first failure raises a ValidationError naming the invariant and
     the measured violation; a ``finite`` failure reports the count of NaN
@@ -234,7 +235,8 @@ def validate_density(mat, ctx: PartitionContext, *,
     passes the hermiticity check gets a well-conditioned spectrum.
     """
     for name, tol in zip(VALIDATION_TOLS, (hermiticity_tol, trace_tol, positivity_tol)):
-        if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0.0 <= tol < math.inf):
             raise ValueError(f"{name} tolerance must be a finite number >= 0, "
                              f"got {tol!r}")
     m = np.asarray(mat, dtype=np.complex128)

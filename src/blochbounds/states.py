@@ -129,7 +129,11 @@ def _w_vector(ctx):
 
 def _complex_array(payload, shape, what):
     # entries as they are, or [re, im] pairs on a last axis of length 2
-    a = np.asarray(payload)
+    try:
+        a = np.asarray(payload)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{what} is ragged: its rows are not all of one "
+                         "length and depth") from None
     if a.dtype.kind not in "iufc":  # no null, string, bool or object entry
         raise ValueError(f"{what} entries must be numbers")
     if a.shape == (*shape, 2) and not np.iscomplexobj(a):
@@ -148,7 +152,7 @@ def _product_vector(ctx, params):
         raise ValueError(f"need {ctx.n_parties} local kets, got {len(kets)}")
     v = np.ones(1, dtype=complex)
     for ket in kets:
-        a = _complex_array(ket, (d,), "local ket")
+        a = _complex_array(ket, (d,), "param kets")
         if a.shape != (d,):
             raise ValueError(f"each local ket must have length {d}")
         norm = np.linalg.norm(a)
@@ -252,7 +256,7 @@ def make_state(spec: StateSpec, tolerances: Mapping | None = None) -> DensityMat
         if "matrix" not in spec.params:
             raise ValueError("dense kind needs params['matrix']")
         mat = _complex_array(spec.params["matrix"], (ctx.total_dim,) * 2,
-                             "dense matrix")
+                             "param matrix")
     elif kind == "random_pure":
         mat = haar_random_pure(ctx, spec.seed or 0).mat
     elif kind == "random_mixed":

@@ -9,6 +9,7 @@ table for (N, d) = (3, 2).
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from blochbounds.bounds import (
     pure_concurrence_tensor,
     random_decomposition,
     reduced_purity_sum,
+    reduced_purity_sum_from_norms,
     tangle_bounds,
     weighted_norm_sum,
     white_noise_crossing,
@@ -548,6 +550,63 @@ class TestLatticePurities:
         # the counters do see the partial-trace path
         linalg.partial_trace(rho, 0b11)
         assert calls["DensityMatrix"] == calls["partial_trace"] == 1
+
+
+class TestClosedFormPuritySum:
+    """analyze takes sum_S Tr[rho_S^2] from the per-size sector norms."""
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (6, 2), (12, 2), (2, 3),
+                                     (4, 3), (6, 4), (2, 64), (20, 2)])
+    def test_weights_are_the_subset_sums_rounded_once(self, n, d):
+        # the literal sums over subset sizes m, in exact rationals
+        constant = sum(Fraction(math.comb(n, m), d ** m) for m in range(1, n))
+        weights = tuple(
+            float(Fraction(2, d) ** a
+                  * sum(Fraction(math.comb(n - a, m - a), d ** m)
+                        for m in range(a, n)))
+            for a in range(1, n))
+        assert bounds._purity_sum_weights(n, d) == (float(constant), weights)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_one_party_has_no_proper_reduction(self, d):
+        rho = random_mixed(PartitionContext(1, d), None, 3)
+        assert reduced_purity_sum_from_norms(all_tensors(rho)) == 0.0
+
+    @pytest.mark.parametrize("rho", [
+        make_state(StateSpec("ghz", PartitionContext(4, 2))),
+        random_mixed(PartitionContext(3, 3), 1, 4),
+        random_mixed(PartitionContext(5, 2), 4, 5),
+        random_mixed(PartitionContext(2, 4), None, 6),
+    ], ids=["ghz", "pure", "rank4", "full"])
+    def test_analyze_never_walks(self, monkeypatch, rho):
+        def walk(rho):
+            raise AssertionError("analyze called reduced_purity_sum")
+
+        expect = reduced_purity_sum(rho)
+        monkeypatch.setattr(bounds, "reduced_purity_sum", walk)
+        rep = analyze(rho)
+        assert abs(rep.sum_reduced_purities - expect) <= 1e-14 * expect
+        n = rho.ctx.n_parties
+        assert rep.tangle_upper == 2.0 ** (2 - n) * (
+            2 ** n - 2 - rep.sum_reduced_purities)
+
+    def test_exact_constants_cached_per_shape_not_per_context(self):
+        caches = (bounds._level_weights, bounds._gme_level,
+                  bounds._purity_sum_weights)
+        for cache in caches:
+            cache.cache_clear()
+        mat = random_mixed(PartitionContext(5, 3), 2, 8).mat
+        reports = [analyze(DensityMatrix(PartitionContext(5, 3, cap), mat))
+                   for cap in (4096, 10 ** 5)]
+        assert reports[0].as_dict() == reports[1].as_dict()
+        for cache in caches:
+            info = cache.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        # a caller cannot write into the cached table
+        with pytest.raises(TypeError):
+            bound_coefficients(PartitionContext(5, 3)).per_level[2] = 0.0
+        assert bounds._level_weights(5, 3)[1][2] == (
+            bound_coefficients(PartitionContext(5, 3)).per_level[2])
 
 
 class TestAnalyze:

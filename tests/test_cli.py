@@ -284,6 +284,19 @@ class TestAnalyze:
         assert diag["error"] == "invalid-state"
         assert diag["invariant"] == "finite"
 
+    @pytest.mark.parametrize("kind,param", [("dense", "matrix"),
+                                            ("product", "kets")])
+    def test_ragged_entry_named(self, capsys, monkeypatch, kind, param):
+        # numpy's own "inhomogeneous shape" text used to reach the caller
+        bad = {"kind": kind, "n_parties": 2, "local_dim": 2,
+               "params": {param: [[1, [2]], [1, 2]]}}
+        code, out, err = run_cli(["analyze"], capsys, json.dumps(bad), monkeypatch)
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "invalid-state"
+        assert diag["message"].startswith(f"param {param} is ragged")
+
     def test_parse_request_leaves_payload_unchanged(self):
         from blochbounds.cli import _parse_request
         for payload in ({"kind": "bell", "options": {"emit_tensors": True}},

@@ -278,9 +278,11 @@ class TestValidateDensity:
 
     @pytest.mark.parametrize("name", ["hermiticity_tol", "trace_tol",
                                       "positivity_tol"])
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf, "1e-10", None])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf, "1e-10", None,
+                                     True, False])
     def test_bad_tolerance_rejected(self, name, tol):
-        # a NaN tolerance used to pass every matrix: no dev > NaN is true
+        # a NaN tolerance used to pass every matrix: no dev > NaN is true;
+        # True, a numbers.Real, used to pass this one as 1.0
         bad = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match="tolerance must be a finite") as err:
             validate_density(bad, PartitionContext(1, 2), **{name: tol})

@@ -1,5 +1,6 @@
 """Property tests: invariances of the reduced purities and sector norms,
-and the bound sandwich under the sampled convex roof.
+the closed-form purity sum against the partial-trace walk, and the bound
+sandwich under the sampled convex roof.
 
 Hypothesis draws the shape, rank, state seed, party permutation, local
 unitaries and roof seed. Every test is derandomized (a fixed seed per test, no example
@@ -16,10 +17,11 @@ from blochbounds.bounds import (
     analyze,
     convex_roof_upper_estimate,
     reduced_purity_sum,
+    reduced_purity_sum_from_norms,
 )
 from blochbounds.generators import apply_local_unitaries
 from blochbounds.linalg import DensityMatrix, PartitionContext
-from blochbounds.states import haar_unitary, random_mixed
+from blochbounds.states import StateSpec, haar_unitary, make_state, random_mixed
 from blochbounds.tensors import all_tensors
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None,
@@ -69,6 +71,30 @@ def test_local_unitary_invariance(shape, rank, seed, unitary_seed):
     n, d = shape
     rotated = apply_local_unitaries(rho, [haar_unitary(d, rng) for _ in range(n)])
     _assert_same_invariants(rho, rotated)
+
+
+CLOSED_FORM_SHAPES = st.sampled_from(
+    [(n, 2) for n in range(2, 7)] + [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4),
+                                     (2, 5)])
+
+
+def _assert_closed_form_matches_walk(rho):
+    walk = reduced_purity_sum(rho)
+    assert abs(reduced_purity_sum_from_norms(all_tensors(rho)) - walk) <= (
+        1e-14 * walk)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(shape=CLOSED_FORM_SHAPES, seed=SEEDS)
+def test_closed_form_purity_sum_matches_walk(shape, seed):
+    for rank in (1, 4, None):
+        _assert_closed_form_matches_walk(_state(shape, rank, seed))
+
+
+@pytest.mark.parametrize("kind,shape", [("ghz", (5, 2)), ("w", (6, 2))])
+def test_closed_form_purity_sum_matches_walk_named(kind, shape):
+    _assert_closed_form_matches_walk(
+        make_state(StateSpec(kind, PartitionContext(*shape))))
 
 
 @PROPERTY

@@ -272,7 +272,7 @@ class TestDense:
         with pytest.raises(ValueError, match="unknown validation tolerance"):
             make_state(spec, tolerances={"purity": 1e-6})
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, True])
     def test_bad_tolerance_rejects_instead_of_passing(self, tol):
         bad = [[1.5, 0.0], [0.0, -0.5]]
         spec = StateSpec("dense", PartitionContext(1, 2), {"matrix": bad})

@@ -16,7 +16,9 @@ one layer; the RSS at the start is recorded beside it.
 Every run checks its answers and fails (exit 1, nothing written) when a
 layer is wrong: ``purity_from_tensors`` against ``purity`` to 1e-10, the
 walk's sum against the sum of ``reduced_purity_from_tensors`` over all
-proper subsets to a relative 1e-10, and the roof against the clamped
+proper subsets and against the closed form ``analyze`` uses
+(``reduced_purity_sum_from_norms``), each to a relative 1e-10, and the
+roof against the clamped
 concurrence lower bound less 1e-9, which it must not fall below. On
 (10, 2) the forked copy then reruns the roof in the contraction order the
 rule did not pick, after the clock stops, and the two estimates must agree
@@ -104,7 +106,8 @@ def measure(n: int, d: int, roof: bool) -> dict:
     from blochbounds import bounds
     from blochbounds.bounds import (concurrence_lower_bound,
                                     convex_roof_upper_estimate,
-                                    reduced_purity_sum)
+                                    reduced_purity_sum,
+                                    reduced_purity_sum_from_norms)
     from blochbounds.linalg import PartitionContext, purity
     from blochbounds.states import random_mixed
     from blochbounds.tensors import (all_tensors, purity_from_tensors,
@@ -124,11 +127,14 @@ def measure(n: int, d: int, roof: bool) -> dict:
                            for mask in range(1, ctx.full_mask))
         return {"purity_gap": abs(purity_from_tensors(ts) - purity(rho)),
                 "purity_sum_rel_gap": abs(lattice - from_tensors) / from_tensors,
+                "closed_form_rel_gap": abs(reduced_purity_sum_from_norms(ts)
+                                           - lattice) / lattice,
                 "concurrence_lower": concurrence_lower_bound(ts)[0]}
 
     tensors = _forked(lambda: all_tensors(rho), tensor_checks)
     passed = (tensors["purity_gap"] <= PURITY_TOL
-              and tensors["purity_sum_rel_gap"] <= PURITY_SUM_REL_TOL)
+              and tensors["purity_sum_rel_gap"] <= PURITY_SUM_REL_TOL
+              and tensors["closed_form_rel_gap"] <= PURITY_SUM_REL_TOL)
     estimate = None
     if roof:
         form = bounds._purity_form_pays(ctx, RANK)

@@ -14,11 +14,9 @@ from .bounds import (
     ENTANGLED,
     GENUINELY_MULTIPARTITE,
     INCONCLUSIVE,
-    BoundCoefficients,
     BoundsReport,
     EnsembleDecomposition,
     analyze,
-    bound_coefficients,
     concurrence_lower_bound,
     convex_roof_upper_estimate,
     detect,
@@ -27,9 +25,7 @@ from .bounds import (
     pure_concurrence_tensor,
     random_decomposition,
     reduced_purity_sum,
-    reduced_purity_sum_from_norms,
     tangle_bounds,
-    weighted_norm_sum,
     white_noise_crossing,
 )
 from .generators import (
@@ -72,6 +68,7 @@ from .tensors import (
     correlation_tensor,
     purity_from_tensors,
     reduced_purity_from_tensors,
+    reduced_purity_sum_from_norms,
     single_site_norm_identity,
 )
 

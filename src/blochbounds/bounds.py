@@ -5,21 +5,32 @@ be computed two ways: from the purity deficit of its reductions,
 
     C = 2^(1 - N/2) sqrt( (2^N - 2) - sum_S Tr[rho_S^2] ),
 
-or from a weighted sum of sector norms,
+or, as the paper states it, from a weighted sum of sector norms,
 
     2^(N-2) C^2 = -K + sum_{l=2}^{N} k_l * sum_{|S|=l} ||T^S||^2,
 
-with coefficients k_l and constant K depending only on (N, d). The same
-weighted sum evaluated on a mixed state lower-bounds the convex-roof
-concurrence, which is what makes it a practical detection tool: the bound
-needs only expectation values of generator strings, never a decomposition.
+with k_l = 2^l ((d+1)^(N-1) - (d+1)^(N-l)) / d^(N+l) and a constant K, both
+depending only on (N, d). The same weighted sum evaluated on a mixed state
+lower-bounds the convex-roof concurrence, which is what makes it a
+practical detection tool: the bound needs only expectation values of
+generator strings, never a decomposition.
 
-The raw lower bound is reported as the signed square root of the weighted
-sum minus the constant. On pure states this reproduces the concurrence
-exactly; on the noisy-GHZ family it continues the closed-form curve through
-its zero, so the sign carries "how far below the detection level" rather
-than being truncated. Headline numbers and verdicts always use the clamped
-nonnegative value.
+What is computed is the same gap from two purities, P = Tr[rho^2] and
+R = sum_S Tr[rho_S^2] over the 2^N - 2 proper subsets,
+
+    g = (2^N - 2 - R) - ((d+1)^(N-1) - 1) (1 - P),
+
+the pure-state radicand less a linear-entropy penalty. P and R are O(N)
+sums of the per-size sector norms n_a (``purity_from_tensors``,
+``reduced_purity_sum_from_norms``), in which n_l weighs 2^l d^-(N+l) and
+w_l = 2^l ((d+1)^(N-l) - 1) / d^(N+l). So n_l enters g with weight
+((d+1)^(N-1) - 1) 2^l d^-(N+l) - w_l = k_l, and the constants sum to -K.
+
+The raw lower bound is reported as the signed square root of the gap. On
+pure states this reproduces the concurrence exactly; on the noisy-GHZ
+family it continues the closed-form curve through its zero, so the sign
+carries "how far below the detection level" rather than being truncated.
+Headline numbers and verdicts always use the clamped nonnegative value.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -42,16 +52,23 @@ from .linalg import (
     purity,
 )
 from .states import RNG_NAME, ginibre, haar_from_ginibre
-from .tensors import IMAG_TOL, CorrelationTensorSet, all_tensors
+from .tensors import (
+    IMAG_TOL,
+    CorrelationTensorSet,
+    _purity_sum_weights,
+    _purity_weights,
+    all_tensors,
+    purity_from_tensors,
+    reduced_purity_sum_from_norms,
+)
 
 SCHEMA_VERSION = 1
 
 PURITY_TOL = 1e-8
 RANK_TOL = 1e-12
 
-# A weighted norm sum within this distance of the separable-level constant
-# is treated as exactly separable-level, so product states report clean
-# zeros instead of sqrt-amplified rounding noise.
+# A gap within this distance of 0 snaps to 0, so product states report
+# clean zeros instead of sqrt-amplified rounding noise.
 ZERO_SNAP = 1e-10
 
 GENUINELY_MULTIPARTITE = "genuine-multipartite-entangled"
@@ -59,58 +76,40 @@ ENTANGLED = "entangled"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class BoundCoefficients:
-    """Weights of the sector-norm form of the concurrence.
-
-    ``constant`` is subtracted from the weighted sum; it equals the weighted
-    sum of any pure product state, so the difference vanishes exactly on the
-    fully separable baseline. ``per_level[l]`` weighs the combined norm of
-    all size-l sectors, l = 2..N.
-    """
-
-    ctx: PartitionContext
-    constant: float
-    per_level: Mapping[int, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_level",
-                           MappingProxyType(dict(self.per_level)))
-
-
-def bound_coefficients(ctx: PartitionContext) -> BoundCoefficients:
-    """Coefficients for (N, d); numerators stay in exact integers."""
-    n, d = ctx.n_parties, ctx.local_dim
-    if n < 2:
-        raise ValueError("bounds need at least two parties")
-    constant, per_level = _level_weights(n, d)
-    return BoundCoefficients(ctx, constant, per_level)
-
-
-# Exact per-(N, d) constants (here, in _purity_sum_weights and _gme_level)
-# are rounded once and cached by (N, d), not by context, so contexts that
-# differ only in dim_cap share them.
+# Exact per-(N, d) constants (here and in _gme_level) are rounded once and
+# cached by (N, d), so contexts that differ only in dim_cap share them.
 @cache
-def _level_weights(n: int, d: int) -> tuple:
+def _gap_constants(n: int, d: int) -> tuple:
+    """(c, K): the integer c = (d+1)^(N-1) - 1 and the separable-level
+    constant K, minus the gap of the maximally mixed state."""
+    if n < 2:  # the gap would silently read 0
+        raise ValueError("bounds need at least two parties")
     dn = d ** n
     constant = ((d + 1) ** n + (dn - 1) * (d + 1) ** (n - 1) - 2 ** n * dn) / dn
-    per_level = {}
-    for l in range(2, n + 1):
-        per_level[l] = 2 ** l * ((d + 1) ** (n - 1) - (d + 1) ** (n - l)) / d ** (n + l)
-    return constant, MappingProxyType(per_level)
+    return (d + 1) ** (n - 1) - 1, constant
 
 
-def weighted_norm_sum(ts: CorrelationTensorSet, coeffs: BoundCoefficients) -> float:
-    """sum_l k_l * sum_{|S|=l} ||T^S||^2 over the multi-party sectors."""
-    return sum(coeffs.per_level[l] * ts.norm_sq_by_size(l)
-               for l in range(2, ts.ctx.n_parties + 1))
-
-
-def _gap(ts, coeffs):
-    gap = weighted_norm_sum(ts, coeffs) - coeffs.constant
+def _gap(ts: CorrelationTensorSet) -> tuple:
+    """(g, R): the gap g = (2^N - 2 - R) - c (1 - P) from P = Tr[rho^2] and
+    R = sum_S Tr[rho_S^2], with g within ``ZERO_SNAP`` of 0 snapped to 0."""
+    n = ts.ctx.n_parties
+    c, _ = _gap_constants(n, ts.ctx.local_dim)
+    red_total = reduced_purity_sum_from_norms(ts)
+    gap = (2 ** n - 2 - red_total) - c * (1.0 - purity_from_tensors(ts))
     if abs(gap) <= ZERO_SNAP:
-        return 0.0
-    return gap
+        gap = 0.0
+    return gap, red_total
+
+
+def _concurrence(n: int, gap: float) -> tuple:
+    raw = 2.0 ** (1 - n / 2) * math.copysign(math.sqrt(abs(gap)), gap)
+    return max(0.0, raw), raw
+
+
+def _tangle(n: int, gap: float, red_total: float) -> tuple:
+    lower_raw = 2.0 ** (2 - n) * gap
+    upper = 2.0 ** (2 - n) * (2 ** n - 2 - red_total)
+    return lower_raw, max(0.0, lower_raw), upper
 
 
 def _trace_out(a: np.ndarray, m: int, j: int, d: int) -> np.ndarray:
@@ -161,36 +160,6 @@ def reduced_purity_sum(rho: DensityMatrix) -> float:
     return _lattice_purities(rho.mat, n, 0, rho.ctx.local_dim)
 
 
-@cache
-def _purity_sum_weights(n: int, d: int) -> tuple:
-    dn = d ** n
-    constant = ((d + 1) ** n - dn - 1) / dn
-    return constant, tuple(2 ** a * ((d + 1) ** (n - a) - 1) / d ** (n + a)
-                           for a in range(1, n))
-
-
-def reduced_purity_sum_from_norms(ts: CorrelationTensorSet) -> float:
-    """Sum of Tr[rho_S^2] over all 2^N - 2 proper nonempty reductions, from
-    the per-size sector norms n_a = ``ts.norm_sq_by_size(a)``.
-
-    Each reduced purity is Tr[rho_S^2] = d^-m sum_{A in S} (2/d)^|A| ||T^A||^2
-    with m = |S| and ||T^{}||^2 = 1. A set A of size a lies in C(N-a, m-a)
-    proper subsets of size m, so over every proper S
-
-        sum_S Tr[rho_S^2] = sum_{m=1}^{N-1} C(N, m) d^-m + sum_{a=1}^{N-1} w_a n_a,
-        w_a = (2/d)^a sum_{m=a}^{N-1} C(N-a, m-a) d^-m,
-
-    and the binomial theorem closes both sums: the constant is
-    ((d+1)^N - d^N - 1) / d^N and w_a = 2^a ((d+1)^(N-a) - 1) / d^(N+a).
-    Numerators and denominators are exact integers, so each weight is
-    rounded once. O(N) on numbers the tensor set already holds; agrees
-    with the partial-trace walk ``reduced_purity_sum`` to rounding.
-    """
-    constant, weights = _purity_sum_weights(ts.ctx.n_parties, ts.ctx.local_dim)
-    return constant + sum(w * ts.norm_sq_by_size(a)
-                          for a, w in enumerate(weights, start=1))
-
-
 def pure_concurrence_purity(psi: DensityMatrix, *,
                             purity_tol: float = PURITY_TOL) -> float:
     """Pure-state concurrence from the purity deficit of all reductions."""
@@ -205,40 +174,30 @@ def pure_concurrence_purity(psi: DensityMatrix, *,
     return 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
 
 
-def pure_concurrence_tensor(ts: CorrelationTensorSet,
-                            coeffs: BoundCoefficients | None = None) -> float:
+def pure_concurrence_tensor(ts: CorrelationTensorSet) -> float:
     """Pure-state concurrence from sector norms alone.
 
-    Agrees with ``pure_concurrence_purity`` on pure states. A radicand
-    below -1e-6 means the sector norms cannot have come from a pure state.
+    Agrees with ``pure_concurrence_purity`` on pure states. A gap below
+    -1e-6 means the sector norms cannot have come from a pure state.
     """
-    if coeffs is None:
-        coeffs = bound_coefficients(ts.ctx)
-    n = ts.ctx.n_parties
-    radicand = weighted_norm_sum(ts, coeffs) - coeffs.constant
-    if radicand < -1e-6:
+    gap, _ = _gap(ts)
+    if gap < -1e-6:
         raise ValidationError(
-            "pure-radicand", radicand, 1e-6,
+            "pure-radicand", gap, 1e-6,
             "weighted sector norms fall below the pure-state level; the "
             "input does not describe a pure state")
-    return 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
+    return _concurrence(ts.ctx.n_parties, gap)[0]
 
 
-def concurrence_lower_bound(ts: CorrelationTensorSet,
-                            coeffs: BoundCoefficients | None = None) -> tuple:
+def concurrence_lower_bound(ts: CorrelationTensorSet) -> tuple:
     """Lower bound on the mixed-state concurrence, as (clamped, raw).
 
-    raw = 2^(1 - N/2) * sign(g) * sqrt(|g|) with g the weighted norm sum
-    minus the constant; clamped = max(0, raw). On pure states raw equals
-    the concurrence. A negative raw value carries no entanglement claim but
+    raw = 2^(1 - N/2) * sign(g) * sqrt(|g|) with g the gap of the module
+    docstring; clamped = max(0, raw). On pure states raw equals the
+    concurrence. A negative raw value carries no entanglement claim but
     tells how far the state sits below the detection level.
     """
-    if coeffs is None:
-        coeffs = bound_coefficients(ts.ctx)
-    n = ts.ctx.n_parties
-    gap = _gap(ts, coeffs)
-    raw = 2.0 ** (1 - n / 2) * math.copysign(math.sqrt(abs(gap)), gap)
-    return max(0.0, raw), raw
+    return _concurrence(ts.ctx.n_parties, _gap(ts)[0])
 
 
 def gme_threshold(ctx: PartitionContext) -> float:
@@ -272,47 +231,45 @@ def _gme_level(n: int, d: int) -> float:
     return math.sqrt(float(Fraction(4, 2 ** n) * radicand))
 
 
-def tangle_bounds(ts: CorrelationTensorSet,
-                  coeffs: BoundCoefficients | None,
-                  reduced_purity_total: float) -> tuple:
+def tangle_bounds(ts: CorrelationTensorSet) -> tuple:
     """Bounds on the tangle, as (lower_raw, lower, upper).
 
     lower_raw = 2^(2-N) * g reuses the concurrence gap g; the upper bound
-    2^(2-N) (2^N - 2 - sum_S Tr[rho_S^2]) takes the purity sum it is given.
-    ``analyze`` passes ``reduced_purity_sum_from_norms``, which reads the
-    same sector norms as g, so the two sides share their input arithmetic;
-    the checks independent of the tensors are perfbench's partial-trace
+    is 2^(2-N) (2^N - 2 - R). Both read the same sector norms, so the
+    checks independent of the tensors are perfbench's partial-trace
     oracle, the cap tool's check against the walk ``reduced_purity_sum``,
     and the property test of the closed form against the walk. Both are
     exact on pure states, where they collapse onto the squared concurrence.
     """
-    if coeffs is None:
-        coeffs = bound_coefficients(ts.ctx)
-    n = ts.ctx.n_parties
-    lower_raw = 2.0 ** (2 - n) * _gap(ts, coeffs)
-    upper = 2.0 ** (2 - n) * (2 ** n - 2 - reduced_purity_total)
-    return lower_raw, max(0.0, lower_raw), upper
+    return _tangle(ts.ctx.n_parties, *_gap(ts))
 
 
 def white_noise_crossing(sigma: DensityMatrix, predicate: str) -> float:
     """Noise weight x* where rho(x) = x 1/D + (1 - x) sigma stops passing.
 
-    The identity part adds nothing to any sector, so T^S(x) = (1 - x)
-    T^S(sigma) and the gap is g(x) = (1 - x)^2 W - K, with W the weighted
-    norm sum of sigma and K the constant. ``predicate`` "entangled" needs
-    g > 0, "gme" needs g > 2^(N-2) level^2; either way
-    x* = 1 - sqrt(need / W) from one transform of sigma. The predicate
-    holds for x < x*, and x* <= 0 means it fails already at x = 0.
+    The identity part adds nothing to any sector, so every n_a(x) =
+    (1 - x)^2 n_a(sigma) and the gap is g(x) = (1 - x)^2 W - K, with
+    W = c (P - P_0) - (R - R_0) from sigma's purities less those of the
+    maximally mixed state. "entangled" needs g > 0, "gme" needs
+    g > 2^(N-2) level^2; either way x* = 1 - sqrt(need / W) from one
+    transform of sigma. The predicate holds for x < x*, and x* <= 0 means
+    it fails already at x = 0. Without correlations (W <= 0; rounding can
+    leave an exact 0 at +-1e-17) it never holds: x* is -inf, the limit as
+    W -> 0+.
     """
-    ctx = sigma.ctx
-    coeffs = bound_coefficients(ctx)
-    need = coeffs.constant
+    n, d = sigma.ctx.n_parties, sigma.ctx.local_dim
+    c, need = _gap_constants(n, d)
     if predicate == "gme":
-        need += 2 ** (ctx.n_parties - 2) * gme_threshold(ctx) ** 2
+        need += 2 ** (n - 2) * gme_threshold(sigma.ctx) ** 2
     elif predicate != "entangled":
         raise ValueError(f"unknown predicate {predicate!r}; "
                          "expected 'gme' or 'entangled'")
-    return 1.0 - math.sqrt(need / weighted_norm_sum(all_tensors(sigma), coeffs))
+    ts = all_tensors(sigma)
+    weight = (c * (purity_from_tensors(ts) - _purity_weights(n, d)[0])
+              - (reduced_purity_sum_from_norms(ts) - _purity_sum_weights(n, d)[0]))
+    if weight <= 0.0:
+        return -math.inf
+    return 1.0 - math.sqrt(need / weight)
 
 
 def detect(concurrence_lower: float, gme_level: float | None = None) -> str:
@@ -638,11 +595,10 @@ def analyze(rho: DensityMatrix, *, samples_for_roof: int = 0, seed: int = 0,
     """Run every bound on one state and bundle the verdict."""
     ctx = rho.ctx
     ts = all_tensors(rho, imag_tol=imag_tol)
-    coeffs = bound_coefficients(ctx)
-    clamped, raw = concurrence_lower_bound(ts, coeffs)
+    gap, red_total = _gap(ts)
+    clamped, raw = _concurrence(ctx.n_parties, gap)
     level = gme_threshold(ctx) if ctx.n_parties >= 3 else None
-    red_total = reduced_purity_sum_from_norms(ts)
-    t_raw, t_low, t_up = tangle_bounds(ts, coeffs, red_total)
+    t_raw, t_low, t_up = _tangle(ctx.n_parties, gap, red_total)
     roof = None
     if samples_for_roof:
         roof = convex_roof_upper_estimate(rho, samples_for_roof, seed)

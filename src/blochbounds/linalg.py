@@ -217,6 +217,15 @@ def purity(rho: DensityMatrix) -> float:
     return hs_norm_sq(rho.mat)
 
 
+def check_tolerance(name: str, tol) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite number >= 0: a NaN
+    or infinite one would pass every input, and a bool is no tolerance."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not 0.0 <= tol < math.inf):
+        raise ValueError(f"{name} tolerance must be a finite number >= 0, "
+                         f"got {tol!r}")
+
+
 def validate_density(mat, ctx: PartitionContext, *,
                      hermiticity_tol: float = VALIDATION_TOLS["hermiticity"],
                      trace_tol: float = VALIDATION_TOLS["trace"],
@@ -224,10 +233,8 @@ def validate_density(mat, ctx: PartitionContext, *,
                      ) -> DensityMatrix:
     """Check density-matrix invariants and wrap the result.
 
-    A tolerance that is not a finite number >= 0 raises ``ValueError``: a
-    NaN one would pass every matrix, and a bool, though a ``numbers.Real``,
-    is no tolerance. Checks run in a fixed order (finite
-    entries, shape, hermiticity, unit trace, positive semidefiniteness)
+    Each tolerance passes ``check_tolerance`` first. Checks run in a fixed
+    order (finite entries, shape, hermiticity, unit trace, positivity)
     and the first failure raises a ValidationError naming the invariant and
     the measured violation; a ``finite`` failure reports the count of NaN
     or infinite entries, since every later comparison would be false on
@@ -235,10 +242,7 @@ def validate_density(mat, ctx: PartitionContext, *,
     passes the hermiticity check gets a well-conditioned spectrum.
     """
     for name, tol in zip(VALIDATION_TOLS, (hermiticity_tol, trace_tol, positivity_tol)):
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not 0.0 <= tol < math.inf):
-            raise ValueError(f"{name} tolerance must be a finite number >= 0, "
-                             f"got {tol!r}")
+        check_tolerance(name, tol)
     m = np.asarray(mat, dtype=np.complex128)
     bad = int(np.count_nonzero(~np.isfinite(m)))
     if bad:

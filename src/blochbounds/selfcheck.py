@@ -1,11 +1,12 @@
 """End-to-end verification suites over seeded random ensembles.
 
 Each suite exercises one cross-check that ties independent code paths
-together: the two pure-state concurrence formulas, the tensor-based purity
-identities against direct traces, local-unitary invariance of every
-reported number, and the lower-bound/upper-estimate sandwich. The summary
-carries the worst residual per suite so a regression shows up as a number,
-not just a flag.
+together: the pure-state concurrence from partial traces against the one
+from the two purities the sector norms give (``pure_equivalence``), the
+tensor-based purity identities against direct traces, local-unitary
+invariance of every reported number, and the lower-bound/upper-estimate
+sandwich. The summary carries the worst residual per suite so a
+regression shows up as a number, not just a flag.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from .bounds import (
     SCHEMA_VERSION,
     analyze,
-    bound_coefficients,
     convex_roof_upper_estimate,
     pure_concurrence_purity,
     pure_concurrence_tensor,
@@ -75,13 +75,12 @@ def run_verification(ns=(2, 3), ds=(2,), n_states: int = 50, seed: int = 0,
 
     for n, d in combos:
         ctx = PartitionContext(n, d)
-        coeffs = bound_coefficients(ctx)
         dim = ctx.total_dim
 
         for _ in range(n_states):
             psi = haar_random_pure(ctx, rng)
             gap = abs(pure_concurrence_purity(psi)
-                      - pure_concurrence_tensor(all_tensors(psi), coeffs))
+                      - pure_concurrence_tensor(all_tensors(psi)))
             residuals["pure_equivalence"] = max(residuals["pure_equivalence"], gap)
 
         for i in range(n_states):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -46,6 +46,7 @@ from .linalg import (
     PartitionContext,
     ValidationError,
     check_mask,
+    check_tolerance,
     nonempty_masks,
     partial_trace,
     parties_from_mask,
@@ -189,10 +190,11 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
     Returns the real parts as an array with one axis of length d^2 per
     party; index 0 on an axis is the identity, index a >= 1 the generator
     a - 1. ``parties`` labels the axes in diagnostics. Any imaginary residue
-    above ``imag_tol``, or a NaN, outside the all-identity entry (the trace)
+    above ``imag_tol`` (a ``check_tolerance``), or a NaN, outside the trace
     raises ``tensor-reality``. The array is a read-only float copy that
     owns its memory; the complex product is freed on return.
     """
+    check_tolerance("tensor_reality", imag_tol)
     n, d = rho.ctx.n_parties, rho.ctx.local_dim
     mode = _default_mode(d) if basis is None else _basis_mode(basis, d)
     pairs = [ax for k in range(n) for ax in (k, n + k)]
@@ -279,17 +281,55 @@ def all_tensors(rho: DensityMatrix,
         rho.ctx, _coefficients(rho, basis, imag_tol, rho.ctx.parties()))
 
 
-def purity_from_tensors(ts: CorrelationTensorSet) -> float:
-    """Tr[rho^2] recovered from sector norms alone.
+# Every weight of a sector norm: (constant, (w_1, w_2, ...)) for
+# constant + sum_a w_a norm_sq_by_size(a), exact, rounded once and cached by
+# (N, d), so contexts that differ only in dim_cap share them.
+@cache
+def _purity_weights(n: int, d: int) -> tuple:
+    return 1 / d ** n, tuple(2 ** a / d ** (n + a) for a in range(1, n + 1))
 
-    d^(2N) Tr[rho^2] = d^N + sum_S 2^|S| d^(N - |S|) ||T^S||^2.
+
+@cache
+def _purity_sum_weights(n: int, d: int) -> tuple:
+    dn = d ** n
+    constant = ((d + 1) ** n - dn - 1) / dn
+    return constant, tuple(2 ** a * ((d + 1) ** (n - a) - 1) / d ** (n + a)
+                           for a in range(1, n))
+
+
+def _size_weighted(ts: CorrelationTensorSet, weights) -> float:
+    constant, per_size = weights(ts.ctx.n_parties, ts.ctx.local_dim)
+    return constant + sum(w * ts.norm_sq_by_size(a)
+                          for a, w in enumerate(per_size, start=1))
+
+
+def purity_from_tensors(ts: CorrelationTensorSet) -> float:
+    """Tr[rho^2] from the per-size sector norms n_a = ``norm_sq_by_size(a)``.
+
+    d^(2N) Tr[rho^2] = d^N + sum_S 2^|S| d^(N - |S|) ||T^S||^2, so
+    Tr[rho^2] = d^-N + sum_{a=1}^{N} 2^a d^-(N+a) n_a: O(N) work.
     """
-    n, d = ts.ctx.n_parties, ts.ctx.local_dim
-    acc = float(d ** n)
-    for mask, norm_sq in ts.norms_sq.items():
-        m = subset_size(mask)
-        acc += (2 ** m) * (d ** (n - m)) * norm_sq
-    return acc / d ** (2 * n)
+    return _size_weighted(ts, _purity_weights)
+
+
+def reduced_purity_sum_from_norms(ts: CorrelationTensorSet) -> float:
+    """Sum of Tr[rho_S^2] over all 2^N - 2 proper nonempty reductions, from
+    the per-size sector norms n_a = ``ts.norm_sq_by_size(a)``.
+
+    Each reduced purity is Tr[rho_S^2] = d^-m sum_{A in S} (2/d)^|A| ||T^A||^2
+    with m = |S| and ||T^{}||^2 = 1. A set A of size a lies in C(N-a, m-a)
+    proper subsets of size m, so over every proper S
+
+        sum_S Tr[rho_S^2] = sum_{m=1}^{N-1} C(N, m) d^-m + sum_{a=1}^{N-1} w_a n_a,
+        w_a = (2/d)^a sum_{m=a}^{N-1} C(N-a, m-a) d^-m,
+
+    and the binomial theorem closes both sums: the constant is
+    ((d+1)^N - d^N - 1) / d^N and w_a = 2^a ((d+1)^(N-a) - 1) / d^(N+a).
+    Numerators and denominators are exact integers, so each weight is
+    rounded once. O(N) on numbers the tensor set already holds; agrees
+    with the partial-trace walk ``bounds.reduced_purity_sum`` to rounding.
+    """
+    return _size_weighted(ts, _purity_sum_weights)
 
 
 def reduced_purity_from_tensors(ts: CorrelationTensorSet, subset: int) -> float:

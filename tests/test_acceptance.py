@@ -17,7 +17,6 @@ from blochbounds import (
     all_tensors,
     analyze,
     apply_local_unitaries,
-    bound_coefficients,
     concurrence_lower_bound,
     convex_roof_upper_estimate,
     ghz_noise_family,
@@ -32,7 +31,6 @@ from blochbounds import (
     purity_from_tensors,
     random_mixed,
     reduced_purity_from_tensors,
-    reduced_purity_sum,
     tangle_bounds,
     threshold_scan,
 )
@@ -52,11 +50,10 @@ def test_pure_state_formula_equivalence():
     worst = 0.0
     for n, d in combos:
         ctx = PartitionContext(n, d)
-        coeffs = bound_coefficients(ctx)
         for i in range(200):
             rho = haar_random_pure(ctx, seed=1000 * n + 100 * d + i)
             via_purity = pure_concurrence_purity(rho)
-            via_tensor = pure_concurrence_tensor(all_tensors(rho), coeffs)
+            via_tensor = pure_concurrence_tensor(all_tensors(rho))
             worst = max(worst, abs(via_purity - via_tensor))
     elapsed = time.perf_counter() - start
     report("pure-state concurrence: purity form == tensor form",
@@ -138,9 +135,7 @@ def test_tangle_tightness():
         n, d = combos[i % 4]
         ctx = PartitionContext(n, d)
         rho = haar_random_pure(ctx, seed=3000 + i)
-        ts = all_tensors(rho)
-        _, lower, upper = tangle_bounds(ts, bound_coefficients(ctx),
-                                        reduced_purity_sum(rho))
+        _, lower, upper = tangle_bounds(all_tensors(rho))
         c_sq = pure_concurrence_purity(rho) ** 2
         worst_gap = max(worst_gap, abs(lower - upper))
         worst_sq = max(worst_sq, abs(lower - c_sq), abs(upper - c_sq))
@@ -149,9 +144,7 @@ def test_tangle_tightness():
         n, d = combos[i % 4]
         ctx = PartitionContext(n, d)
         rho = random_mixed(ctx, rank=2 + i % 3, seed=4000 + i)
-        ts = all_tensors(rho)
-        _, lower, upper = tangle_bounds(ts, bound_coefficients(ctx),
-                                        reduced_purity_sum(rho))
+        _, lower, upper = tangle_bounds(all_tensors(rho))
         if lower > upper + 1e-9:
             violations += 1
     report("tangle bounds: tight on pure states, ordered on mixed states",

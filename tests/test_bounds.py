@@ -3,8 +3,9 @@
 Frozen expected values were computed independently before implementation:
 GHZ concurrence sqrt(3/2), W concurrence sqrt(4/3), the noisy-GHZ closed
 form (1/2) sqrt(6 - 25 x + 12.5 x^2), detection level sqrt(2 - 2/d) for
-three parties and (1/2) sqrt(7.5) for four qubits, and the coefficient
-table for (N, d) = (3, 2).
+three parties and (1/2) sqrt(7.5) for four qubits, and the paper's
+coefficient table for (N, d) = (3, 2), which checks the test-side sector-norm
+form (the ``paper_coefficients`` fixture).
 """
 
 import math
@@ -14,13 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blochbounds import bounds
+from blochbounds import bounds, tensors
 from blochbounds.bounds import (
     ENTANGLED,
     GENUINELY_MULTIPARTITE,
     INCONCLUSIVE,
     analyze,
-    bound_coefficients,
     concurrence_lower_bound,
     convex_roof_upper_estimate,
     detect,
@@ -29,9 +29,7 @@ from blochbounds.bounds import (
     pure_concurrence_tensor,
     random_decomposition,
     reduced_purity_sum,
-    reduced_purity_sum_from_norms,
     tangle_bounds,
-    weighted_norm_sum,
     white_noise_crossing,
 )
 from blochbounds.generators import apply_local_unitaries, su_generators
@@ -49,7 +47,7 @@ from blochbounds.states import (
     make_state,
     random_mixed,
 )
-from blochbounds.tensors import all_tensors
+from blochbounds.tensors import all_tensors, reduced_purity_sum_from_norms
 
 GHZ_CONCURRENCE = 1.224744871391589  # sqrt(3/2)
 W_CONCURRENCE = 1.1547005383792515   # sqrt(4/3)
@@ -75,36 +73,42 @@ def maximally_mixed(n, d):
 
 
 class TestCoefficients:
-    def test_three_qubit_values(self):
-        co = bound_coefficients(PartitionContext(3, 2))
-        assert co.constant == 3.25
-        assert dict(co.per_level) == {2: 0.75, 3: 1.0}
+    """The paper's k_l form, kept in the tests as the reference for the
+    package's two-purity gap."""
 
-    def test_two_qubit_values(self):
-        co = bound_coefficients(PartitionContext(2, 2))
-        assert co.constant == 0.5
-        assert dict(co.per_level) == {2: 0.5}
+    def test_three_qubit_values(self, paper_coefficients):
+        assert paper_coefficients(3, 2) == (3.25, {2: 0.75, 3: 1.0})
 
-    def test_nonnegative_up_to_six_parties(self):
+    def test_two_qubit_values(self, paper_coefficients):
+        assert paper_coefficients(2, 2) == (0.5, {2: 0.5})
+
+    def test_nonnegative_up_to_six_parties(self, paper_coefficients):
         for n in range(2, 7):
             for d in range(2, 6):
-                ctx = PartitionContext(n, d, dim_cap=d ** n)
-                co = bound_coefficients(ctx)
-                assert all(v >= 0 for v in co.per_level.values()), (n, d)
-                assert set(co.per_level) == set(range(2, n + 1))
+                _, per_level = paper_coefficients(n, d)
+                assert all(v >= 0 for v in per_level.values()), (n, d)
+                assert set(per_level) == set(range(2, n + 1))
 
-    def test_ghz_consistency(self):
+    def test_ghz_consistency(self, paper_gap):
         # -K + sum k_l ||T||^2 must equal 2^(N-2) times the squared concurrence
         rho = ghz3()
-        co = bound_coefficients(rho.ctx)
-        lhs = weighted_norm_sum(all_tensors(rho), co) - co.constant
+        lhs = paper_gap(all_tensors(rho))
         rhs = 2.0 * pure_concurrence_purity(rho) ** 2
         assert abs(lhs - 3.0) < 1e-12
         assert abs(lhs - rhs) < 1e-12
+        assert abs(tangle_bounds(all_tensors(rho))[0] - lhs / 2.0) < 1e-12
 
     def test_single_party_rejected(self):
-        with pytest.raises(ValueError):
-            bound_coefficients(PartitionContext(1, 2))
+        # the two-purity gap would silently read 0 for one party
+        rho = random_mixed(PartitionContext(1, 2), None, 1)
+        ts = all_tensors(rho)
+        for call in (lambda: concurrence_lower_bound(ts),
+                     lambda: tangle_bounds(ts),
+                     lambda: pure_concurrence_tensor(ts),
+                     lambda: analyze(rho),
+                     lambda: white_noise_crossing(rho, "entangled")):
+            with pytest.raises(ValueError, match="at least two parties"):
+                call()
 
 
 class TestPureConcurrencePurity:
@@ -154,13 +158,12 @@ class TestPureConcurrenceTensor:
     ])
     def test_matches_purity_form(self, n, d, count):
         ctx = PartitionContext(n, d)
-        co = bound_coefficients(ctx)
         rng = np.random.default_rng(1000 + 10 * n + d)
         worst = 0.0
         for _ in range(count):
             psi = haar_random_pure(ctx, rng)
             gap = abs(pure_concurrence_purity(psi)
-                      - pure_concurrence_tensor(all_tensors(psi), co))
+                      - pure_concurrence_tensor(all_tensors(psi)))
             worst = max(worst, gap)
         assert worst <= 1e-8
 
@@ -235,14 +238,14 @@ class TestGmeThreshold:
 class TestTangleBounds:
     def test_pure_ghz_exact(self):
         rho = ghz3()
-        raw, low, up = tangle_bounds(all_tensors(rho), None, reduced_purity_sum(rho))
+        raw, low, up = tangle_bounds(all_tensors(rho))
         assert abs(low - 1.5) < 1e-12
         assert abs(up - 1.5) < 1e-12
         assert raw == low
 
     def test_maximally_mixed(self):
         rho = maximally_mixed(3, 2)
-        raw, low, up = tangle_bounds(all_tensors(rho), None, reduced_purity_sum(rho))
+        raw, low, up = tangle_bounds(all_tensors(rho))
         assert raw < 0
         assert low == 0.0
         assert up > 0
@@ -250,7 +253,7 @@ class TestTangleBounds:
     def test_noisy_ghz_value(self):
         x = 0.1
         rho = noisy_ghz(x)
-        raw, low, up = tangle_bounds(all_tensors(rho), None, reduced_purity_sum(rho))
+        raw, low, up = tangle_bounds(all_tensors(rho))
         expect = 0.25 * (6 - 25 * x + 12.5 * x * x)  # 2^(2-N) * gap
         assert abs(raw - expect) < 1e-12
         assert low <= up + 1e-9
@@ -259,7 +262,7 @@ class TestTangleBounds:
         for x in (0.0, 0.1, 0.2):
             ts = all_tensors(noisy_ghz(x))
             _, c_raw = concurrence_lower_bound(ts)
-            t_raw, _, _ = tangle_bounds(ts, None, 0.0)
+            t_raw, _, _ = tangle_bounds(ts)
             assert abs(c_raw ** 2 - t_raw) < 1e-12
 
     def test_pure_equality_random(self):
@@ -267,8 +270,7 @@ class TestTangleBounds:
         rng = np.random.default_rng(31)
         for _ in range(10):
             psi = haar_random_pure(ctx, rng)
-            raw, low, up = tangle_bounds(all_tensors(psi), None,
-                                         reduced_purity_sum(psi))
+            raw, low, up = tangle_bounds(all_tensors(psi))
             c = pure_concurrence_purity(psi)
             assert abs(low - up) < 1e-9
             assert abs(low - c * c) < 1e-9
@@ -278,8 +280,7 @@ class TestTangleBounds:
         rng = np.random.default_rng(32)
         for i in range(10):
             rho = random_mixed(ctx, 1 + i % 8, rng)
-            _, low, up = tangle_bounds(all_tensors(rho), None,
-                                       reduced_purity_sum(rho))
+            _, low, up = tangle_bounds(all_tensors(rho))
             assert low <= up + 1e-9
 
 
@@ -565,7 +566,11 @@ class TestClosedFormPuritySum:
                   * sum(Fraction(math.comb(n - a, m - a), d ** m)
                         for m in range(a, n)))
             for a in range(1, n))
-        assert bounds._purity_sum_weights(n, d) == (float(constant), weights)
+        assert tensors._purity_sum_weights(n, d) == (float(constant), weights)
+        # and Tr[rho^2]'s: d^-N and (2/d)^a d^-N
+        assert tensors._purity_weights(n, d) == (
+            float(Fraction(1, d ** n)),
+            tuple(float(Fraction(2, d) ** a / d ** n) for a in range(1, n + 1)))
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_one_party_has_no_proper_reduction(self, d):
@@ -591,8 +596,8 @@ class TestClosedFormPuritySum:
             2 ** n - 2 - rep.sum_reduced_purities)
 
     def test_exact_constants_cached_per_shape_not_per_context(self):
-        caches = (bounds._level_weights, bounds._gme_level,
-                  bounds._purity_sum_weights)
+        caches = (bounds._gap_constants, bounds._gme_level,
+                  tensors._purity_weights, tensors._purity_sum_weights)
         for cache in caches:
             cache.cache_clear()
         mat = random_mixed(PartitionContext(5, 3), 2, 8).mat
@@ -602,11 +607,6 @@ class TestClosedFormPuritySum:
         for cache in caches:
             info = cache.cache_info()
             assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
-        # a caller cannot write into the cached table
-        with pytest.raises(TypeError):
-            bound_coefficients(PartitionContext(5, 3)).per_level[2] = 0.0
-        assert bounds._level_weights(5, 3)[1][2] == (
-            bound_coefficients(PartitionContext(5, 3)).per_level[2])
 
 
 class TestAnalyze:
@@ -683,6 +683,15 @@ class TestWhiteNoiseCrossing:
                 assert abs(raw_at(x) - level) <= 1e-12
             else:
                 assert raw_at(0.0) < level
+
+    @pytest.mark.parametrize("predicate", ["entangled", "gme"])
+    def test_no_correlations_never_pass(self, predicate):
+        # W = 0 used to divide by zero; with only single-party sectors the
+        # exact W is 0 too, which rounding leaves at about -3e-16 here
+        assert white_noise_crossing(maximally_mixed(3, 2), predicate) == -math.inf
+        z = np.kron(np.diag([1.0, -1.0]), np.eye(8))
+        local = DensityMatrix(PartitionContext(4, 2), (np.eye(16) + 0.1 * z) / 16)
+        assert white_noise_crossing(local, predicate) < -1e6
 
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ValueError, match="predicate"):

@@ -24,6 +24,7 @@ from blochbounds.linalg import (
     subset_size,
     validate_density,
 )
+from blochbounds.tensors import all_tensors
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -277,15 +278,23 @@ class TestValidateDensity:
         assert isinstance(dm, DensityMatrix)
 
     @pytest.mark.parametrize("name", ["hermiticity_tol", "trace_tol",
-                                      "positivity_tol"])
+                                      "positivity_tol", "imag_tol"])
     @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-12, np.inf, "1e-10", None,
                                      True, False])
     def test_bad_tolerance_rejected(self, name, tol):
         # a NaN tolerance used to pass every matrix: no dev > NaN is true;
         # True, a numbers.Real, used to pass this one as 1.0
-        bad = np.diag([1.5, -0.5])
+        ctx = PartitionContext(1, 2)
+        if name == "imag_tol":
+            # the transform's reality check shares the rule; True used to
+            # pass this matrix's imaginary residue of 0.4 (its y coefficient)
+            rho = DensityMatrix(ctx, [[0.5, 0.2], [0.6, 0.5]])
+            call = lambda: all_tensors(rho, imag_tol=tol)
+        else:
+            bad = np.diag([1.5, -0.5])
+            call = lambda: validate_density(bad, ctx, **{name: tol})
         with pytest.raises(ValueError, match="tolerance must be a finite") as err:
-            validate_density(bad, PartitionContext(1, 2), **{name: tol})
+            call()
         assert not isinstance(err.value, ValidationError)
 
     def test_zero_tolerances_accepted(self):

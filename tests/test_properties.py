@@ -1,6 +1,7 @@
 """Property tests: invariances of the reduced purities and sector norms,
-the closed-form purity sum against the partial-trace walk, and the bound
-sandwich under the sampled convex roof.
+the closed-form purity sum against the partial-trace walk, the two-purity
+bounds against the paper's sector-norm form, and the bound sandwich under
+the sampled convex roof.
 
 Hypothesis draws the shape, rank, state seed, party permutation, local
 unitaries and roof seed. Every test is derandomized (a fixed seed per test, no example
@@ -15,14 +16,15 @@ from hypothesis import strategies as st
 from blochbounds import bounds
 from blochbounds.bounds import (
     analyze,
+    concurrence_lower_bound,
     convex_roof_upper_estimate,
     reduced_purity_sum,
-    reduced_purity_sum_from_norms,
+    tangle_bounds,
 )
 from blochbounds.generators import apply_local_unitaries
 from blochbounds.linalg import DensityMatrix, PartitionContext
 from blochbounds.states import StateSpec, haar_unitary, make_state, random_mixed
-from blochbounds.tensors import all_tensors
+from blochbounds.tensors import all_tensors, reduced_purity_sum_from_norms
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None,
                     deadline=None)
@@ -78,23 +80,33 @@ CLOSED_FORM_SHAPES = st.sampled_from(
                                      (2, 5)])
 
 
-def _assert_closed_form_matches_walk(rho):
+def _assert_closed_form_matches_walk(rho, paper_gap):
+    # the purity sum against the walk; the bounds against the paper's k_l
+    # form, sum_l k_l n_l - K, on the same norms
     walk = reduced_purity_sum(rho)
-    assert abs(reduced_purity_sum_from_norms(all_tensors(rho)) - walk) <= (
-        1e-14 * walk)
+    ts = all_tensors(rho)
+    assert abs(reduced_purity_sum_from_norms(ts) - walk) <= 1e-14 * walk
+    n, gap = rho.ctx.n_parties, paper_gap(ts)
+    exact = {"rel": 1e-13, "abs": 0.0}
+    raw = 2.0 ** (1 - n / 2) * np.copysign(np.sqrt(abs(gap)), gap)
+    assert concurrence_lower_bound(ts) == pytest.approx((max(0.0, raw), raw),
+                                                        **exact)
+    raw = 2.0 ** (2 - n) * gap
+    assert tangle_bounds(ts) == pytest.approx(
+        (raw, max(0.0, raw), 2.0 ** (2 - n) * (2 ** n - 2 - walk)), **exact)
 
 
 @settings(PROPERTY, max_examples=20)
 @given(shape=CLOSED_FORM_SHAPES, seed=SEEDS)
-def test_closed_form_purity_sum_matches_walk(shape, seed):
+def test_closed_form_purity_sum_matches_walk(shape, seed, paper_gap):
     for rank in (1, 4, None):
-        _assert_closed_form_matches_walk(_state(shape, rank, seed))
+        _assert_closed_form_matches_walk(_state(shape, rank, seed), paper_gap)
 
 
 @pytest.mark.parametrize("kind,shape", [("ghz", (5, 2)), ("w", (6, 2))])
-def test_closed_form_purity_sum_matches_walk_named(kind, shape):
+def test_closed_form_purity_sum_matches_walk_named(kind, shape, paper_gap):
     _assert_closed_form_matches_walk(
-        make_state(StateSpec(kind, PartitionContext(*shape))))
+        make_state(StateSpec(kind, PartitionContext(*shape))), paper_gap)
 
 
 @PROPERTY

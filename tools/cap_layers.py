@@ -24,7 +24,10 @@ concurrence lower bound less 1e-9, which it must not fall below. On
 rule did not pick, after the clock stops, and the two estimates must agree
 to 1e-12 (the lower bound of the seeded state is 0, so the sandwich alone
 cannot fail there; the larger shapes skip this second run, whose eigh
-would take minutes).
+would take minutes). Beside the checks, ``paper_form_abs_gap`` records the
+absolute difference between the gap g the package computes from two
+purities and the paper's sector-norm form of g, the rounding of the
+two-purity form at the cap.
 
 The record carries the commit, whether tracked sources differ from it, and
 the package version. ``BENCH_cap.json`` at the repository root keeps one run
@@ -101,17 +104,27 @@ def _forked(run, summarize) -> dict:
     return json.loads(data)
 
 
+def _paper_gap(ts, n: int, d: int) -> float:
+    """The gap in the paper's sector-norm form,
+    sum_l k_l sum_{|S|=l} ||T^S||^2 - K, written out here as the reference
+    for the package's two-purity form."""
+    dn = d ** n
+    constant = ((d + 1) ** n + (dn - 1) * (d + 1) ** (n - 1) - 2 ** n * dn) / dn
+    return sum(2 ** l * ((d + 1) ** (n - 1) - (d + 1) ** (n - l)) / d ** (n + l)
+               * ts.norm_sq_by_size(l) for l in range(2, n + 1)) - constant
+
+
 def measure(n: int, d: int, roof: bool) -> dict:
     """Time the layers on one shape and check them; runs in the child."""
     from blochbounds import bounds
     from blochbounds.bounds import (concurrence_lower_bound,
                                     convex_roof_upper_estimate,
-                                    reduced_purity_sum,
-                                    reduced_purity_sum_from_norms)
+                                    reduced_purity_sum, tangle_bounds)
     from blochbounds.linalg import PartitionContext, purity
     from blochbounds.states import random_mixed
     from blochbounds.tensors import (all_tensors, purity_from_tensors,
-                                     reduced_purity_from_tensors)
+                                     reduced_purity_from_tensors,
+                                     reduced_purity_sum_from_norms)
 
     ctx = PartitionContext(n, d)
     start = time.perf_counter()
@@ -129,6 +142,8 @@ def measure(n: int, d: int, roof: bool) -> dict:
                 "purity_sum_rel_gap": abs(lattice - from_tensors) / from_tensors,
                 "closed_form_rel_gap": abs(reduced_purity_sum_from_norms(ts)
                                            - lattice) / lattice,
+                "paper_form_abs_gap": abs(2.0 ** (n - 2) * tangle_bounds(ts)[0]
+                                          - _paper_gap(ts, n, d)),
                 "concurrence_lower": concurrence_lower_bound(ts)[0]}
 
     tensors = _forked(lambda: all_tensors(rho), tensor_checks)

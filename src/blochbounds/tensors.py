@@ -223,10 +223,10 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
     return real
 
 
-def _sector(coeffs: np.ndarray, mask: int) -> np.ndarray:
+def _sector(coefficients: np.ndarray, mask: int) -> np.ndarray:
     # identity on the parties outside the mask, generators on those inside
-    return coeffs[tuple(slice(1, None) if mask >> k & 1 else 0
-                        for k in range(coeffs.ndim))]
+    return coefficients[tuple(slice(1, None) if mask >> k & 1 else 0
+                              for k in range(coefficients.ndim))]
 
 
 def correlation_tensor(rho: DensityMatrix, subset: int,
@@ -243,11 +243,11 @@ def correlation_tensor(rho: DensityMatrix, subset: int,
     ctx = rho.ctx
     check_mask(subset, ctx)
     red = rho if subset == ctx.full_mask else partial_trace(rho, subset)
-    coeffs = _coefficients(red, basis, imag_tol, parties_from_mask(subset))
-    return _sector(coeffs, red.ctx.full_mask).copy()
+    coefficients = _coefficients(red, basis, imag_tol, parties_from_mask(subset))
+    return _sector(coefficients, red.ctx.full_mask).copy()
 
 
-def _sector_norms(coeffs: np.ndarray) -> list:
+def _sector_norms(coefficients: np.ndarray) -> list:
     """||T^S||^2 for every mask S (index 0 is the squared trace term).
 
     One mode-wise fold: each party axis of length d^2 becomes (identity,
@@ -257,8 +257,8 @@ def _sector_norms(coeffs: np.ndarray) -> list:
     microseconds faster but pages in BLAS's real kernels, ~0.3 MB of RSS
     that nothing else here needs.
     """
-    n, q = coeffs.ndim, coeffs.shape[0]
-    c = coeffs.reshape(q, -1)
+    n, q = coefficients.ndim, coefficients.shape[0]
+    c = coefficients.reshape(q, -1)
     fold = np.empty((2, c.shape[1]))
     np.multiply(c[0], c[0], out=fold[0])
     np.einsum("ar,ar->r", c[1:], c[1:], out=fold[1])

@@ -15,23 +15,19 @@ from .bounds import (
     GENUINELY_MULTIPARTITE,
     INCONCLUSIVE,
     BoundsReport,
-    EnsembleDecomposition,
     analyze,
     concurrence_lower_bound,
     convex_roof_upper_estimate,
     detect,
     gme_threshold,
     pure_concurrence_purity,
-    pure_concurrence_tensor,
     random_decomposition,
     reduced_purity_sum,
     tangle_bounds,
     white_noise_crossing,
 )
 from .generators import (
-    GeneratorBasis,
     apply_local_unitaries,
-    embed,
     operator_string,
     su_generators,
 )
@@ -69,7 +65,6 @@ from .tensors import (
     purity_from_tensors,
     reduced_purity_from_tensors,
     reduced_purity_sum_from_norms,
-    single_site_norm_identity,
 )
 
 __version__ = "0.1.0"

@@ -108,8 +108,9 @@ def _concurrence(n: int, gap: float) -> tuple:
 
 def _tangle(n: int, gap: float, red_total: float) -> tuple:
     lower_raw = 2.0 ** (2 - n) * gap
+    # 2^N - 2 - R rounds to about -1e-15 on product states
     upper = 2.0 ** (2 - n) * (2 ** n - 2 - red_total)
-    return lower_raw, max(0.0, lower_raw), upper
+    return lower_raw, max(0.0, lower_raw), max(0.0, upper)
 
 
 def _trace_out(a: np.ndarray, m: int, j: int, d: int) -> np.ndarray:
@@ -174,21 +175,6 @@ def pure_concurrence_purity(psi: DensityMatrix, *,
     return 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
 
 
-def pure_concurrence_tensor(ts: CorrelationTensorSet) -> float:
-    """Pure-state concurrence from sector norms alone.
-
-    Agrees with ``pure_concurrence_purity`` on pure states. A gap below
-    -1e-6 means the sector norms cannot have come from a pure state.
-    """
-    gap, _ = _gap(ts)
-    if gap < -1e-6:
-        raise ValidationError(
-            "pure-radicand", gap, 1e-6,
-            "weighted sector norms fall below the pure-state level; the "
-            "input does not describe a pure state")
-    return _concurrence(ts.ctx.n_parties, gap)[0]
-
-
 def concurrence_lower_bound(ts: CorrelationTensorSet) -> tuple:
     """Lower bound on the mixed-state concurrence, as (clamped, raw).
 
@@ -235,11 +221,12 @@ def tangle_bounds(ts: CorrelationTensorSet) -> tuple:
     """Bounds on the tangle, as (lower_raw, lower, upper).
 
     lower_raw = 2^(2-N) * g reuses the concurrence gap g; the upper bound
-    is 2^(2-N) (2^N - 2 - R). Both read the same sector norms, so the
-    checks independent of the tensors are perfbench's partial-trace
-    oracle, the cap tool's check against the walk ``reduced_purity_sum``,
-    and the property test of the closed form against the walk. Both are
-    exact on pure states, where they collapse onto the squared concurrence.
+    is max(0, 2^(2-N) (2^N - 2 - R)), as the tangle is nonnegative. Both
+    read the same sector norms, so the checks independent of the tensors
+    are perfbench's partial-trace oracle, the cap tool's check against the
+    walk ``reduced_purity_sum``, and the property test of the closed form
+    against the walk. Both are exact on pure states, where they collapse
+    onto the squared concurrence.
     """
     return _tangle(ts.ctx.n_parties, *_gap(ts))
 
@@ -279,30 +266,6 @@ def detect(concurrence_lower: float, gme_level: float | None = None) -> str:
     if concurrence_lower > 0.0:
         return ENTANGLED
     return INCONCLUSIVE
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleDecomposition:
-    """One pure-state ensemble realizing a mixed state."""
-
-    weights: tuple
-    members: tuple
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.members):
-            raise ValueError("weights and members must pair up")
-        total = sum(self.weights)
-        if abs(total - 1.0) > 1e-12 or any(w <= 0 for w in self.weights):
-            raise ValueError(f"weights must be positive and sum to 1, got {total}")
-
-    def reconstruct(self) -> np.ndarray:
-        acc = np.zeros_like(self.members[0].mat)
-        for w, member in zip(self.weights, self.members):
-            acc = acc + w * member.mat
-        return acc
-
-    def max_reconstruction_error(self, rho: DensityMatrix) -> float:
-        return float(np.abs(self.reconstruct() - rho.mat).max())
 
 
 def _eigen_factor(rho):
@@ -351,12 +314,15 @@ def _member_weights(gram, u) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", u.conj(), gram @ u).real
 
 
-def random_decomposition(rho: DensityMatrix, size: int,
-                         rng=None) -> EnsembleDecomposition:
+def random_decomposition(rho: DensityMatrix, size: int, rng=None) -> tuple:
     """Haar-random pure-state decomposition of ``rho`` with ``size`` members.
 
-    ``size`` must reach the numerical rank; larger sizes explore ensembles
-    with more members than eigenvectors.
+    Returns (weights, kets): m positive weights summing to 1 and a
+    d^N x m array whose columns are unit kets, with
+    rho = sum_i weights[i] |k_i><k_i| to rounding. Members whose weight
+    falls below ``_WEIGHT_FLOOR`` are dropped, so m <= ``size``. ``size``
+    must reach the numerical rank; larger sizes explore ensembles with
+    more members than eigenvectors.
     """
     factor = _eigen_factor(rho)
     rank = factor.shape[1]
@@ -367,9 +333,7 @@ def random_decomposition(rho: DensityMatrix, size: int,
     keep = weights > _WEIGHT_FLOOR
     weights = weights[keep]
     kets = (factor @ u[:, keep]) / np.sqrt(weights)
-    members = tuple(DensityMatrix(rho.ctx, np.outer(ket, ket.conj()))
-                    for ket in kets.T)
-    return EnsembleDecomposition(tuple(weights / weights.sum()), members)
+    return weights / weights.sum(), kets
 
 
 def _bipartitions(ctx: PartitionContext):
@@ -518,8 +482,8 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
     are drawn in blocks of at most 2^20 complex member entries, each size's
     Haar unitaries from one stacked QR. No member becomes a d^N x d^N
     projector; the value agrees with the projector definition
-    (``pure_concurrence_purity`` of each member of ``random_decomposition``)
-    to rounding.
+    (``pure_concurrence_purity`` of each ket of ``random_decomposition``
+    made a projector) to rounding.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")

@@ -1,4 +1,4 @@
-"""Traceless Hermitian generator bases for a single d-level system.
+"""The traceless Hermitian generator basis of a single d-level system.
 
 The basis follows the standard generalized Gell-Mann construction with the
 normalization Tr[g_a g_b] = 2 delta_ab, listed in a fixed order:
@@ -13,86 +13,48 @@ For d = 2 this reproduces the Pauli matrices in the order x, y, z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .linalg import DensityMatrix, PartitionContext, kron
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorBasis:
-    """The d^2 - 1 generators for one party, as read-only arrays."""
-
-    local_dim: int
-    generators: tuple
-
-    def __post_init__(self):
-        frozen = []
-        for g in self.generators:
-            m = np.array(g, dtype=np.complex128)
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "generators", tuple(frozen))
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __getitem__(self, idx: int) -> np.ndarray:
-        return self.generators[idx]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.generators)
-
-
-def su_generators(d: int) -> GeneratorBasis:
-    """Build the generator basis for local dimension ``d``."""
+def su_generators(d: int) -> np.ndarray:
+    """The d^2 - 1 generators for local dimension ``d``, in the order above,
+    as one read-only complex128 array of shape (d^2 - 1, d, d)."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    gens = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            gens.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            gens.append(m)
+    gens = np.zeros((d * d - 1, d, d), dtype=np.complex128)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    m = len(pairs)
+    sym, anti, diag = gens[:m], gens[m:2 * m], gens[2 * m:]
+    for a, (j, k) in enumerate(pairs):
+        sym[a, j, k] = sym[a, k, j] = 1.0
+        anti[a, j, k], anti[a, k, j] = -1j, 1j
     for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
         scale = np.sqrt(2.0 / (l * (l + 1)))
-        for i in range(l):
-            m[i, i] = scale
-        m[l, l] = -l * scale
-        gens.append(m)
-    return GeneratorBasis(d, tuple(gens))
+        diag[l - 1, range(l), range(l)] = scale
+        diag[l - 1, l, l] = -l * scale
+    gens.setflags(write=False)
+    return gens
 
 
-def embed(basis: GeneratorBasis, gen_index: int, position: int,
-          ctx: PartitionContext) -> np.ndarray:
-    """One generator at ``position`` (1-based), identity everywhere else."""
-    return operator_string(basis, {position: gen_index}, ctx)
-
-
-def operator_string(basis: GeneratorBasis, assignments: Mapping[int, int],
+def operator_string(generators: np.ndarray, assignments: Mapping[int, int],
                     ctx: PartitionContext) -> np.ndarray:
     """Tensor product with generators at the assigned positions.
 
-    ``assignments`` maps 1-based party positions to generator indices; every
+    ``generators`` is the array ``su_generators`` returns; ``assignments``
+    maps 1-based party positions to generator indices, and every
     unassigned position contributes an identity factor.
     """
-    if basis.local_dim != ctx.local_dim:
+    if generators.shape[1:] != (ctx.local_dim, ctx.local_dim):
         raise ValueError(
-            f"basis dimension {basis.local_dim} does not match context "
-            f"local dimension {ctx.local_dim}")
+            f"generator dimension {generators.shape[1]} does not match "
+            f"context local dimension {ctx.local_dim}")
     if not assignments:
         raise ValueError("at least one position must carry a generator")
-    n_gen = len(basis)
+    n_gen = len(generators)
     for pos, idx in assignments.items():
         if not 1 <= pos <= ctx.n_parties:
             raise ValueError(f"position {pos} outside 1..{ctx.n_parties}")
@@ -101,7 +63,7 @@ def operator_string(basis: GeneratorBasis, assignments: Mapping[int, int],
     eye = np.eye(ctx.local_dim, dtype=complex)
     out = np.eye(1, dtype=complex)
     for pos in ctx.parties():
-        factor = basis[assignments[pos]] if pos in assignments else eye
+        factor = generators[assignments[pos]] if pos in assignments else eye
         out = kron(out, factor, dim_cap=ctx.dim_cap)
     return out
 

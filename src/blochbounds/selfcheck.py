@@ -16,9 +16,9 @@ import numpy as np
 from .bounds import (
     SCHEMA_VERSION,
     analyze,
+    concurrence_lower_bound,
     convex_roof_upper_estimate,
     pure_concurrence_purity,
-    pure_concurrence_tensor,
 )
 from .generators import apply_local_unitaries
 from .linalg import PartitionContext, partial_trace, purity
@@ -80,7 +80,7 @@ def run_verification(ns=(2, 3), ds=(2,), n_states: int = 50, seed: int = 0,
         for _ in range(n_states):
             psi = haar_random_pure(ctx, rng)
             gap = abs(pure_concurrence_purity(psi)
-                      - pure_concurrence_tensor(all_tensors(psi)))
+                      - concurrence_lower_bound(all_tensors(psi))[1])
             residuals["pure_equivalence"] = max(residuals["pure_equivalence"], gap)
 
         for i in range(n_states):

@@ -13,11 +13,16 @@ parties of S with identities elsewhere. The tensor entries are recovered by
 and are real for any Hermitian rho. Squared sector norms ||T^S||^2 feed the
 purity identities and the entanglement bounds downstream.
 
+The generators are the fixed generalized Gell-Mann basis of
+``su_generators``. No squared sector norm depends on that choice: another
+orthonormal basis would rotate each sector by one orthogonal matrix per
+party, so the purities and bounds read off the norms stay the same.
+
 Every entry of every sector comes out of one mode-wise transform, the
 tensorized Pauli decomposition of Hantzko, Binkowski and Gupta (2023)
-generalised to any generator basis. rho is reshaped so each party owns one
-axis of length d^2 (its row and column index), and that axis is contracted
-with the stacked operators {Id, (d/2) g_1, ..., (d/2) g_(d^2-1)}, one matrix
+applied to that basis. rho is reshaped so each party owns one axis of
+length d^2 (its row and column index), and that axis is contracted with
+the stacked operators {Id, (d/2) g_1, ..., (d/2) g_(d^2-1)}, one matrix
 product per party. The result holds Tr[rho * (A_1 x ... x A_N)] for every
 choice of A_k, scale included; T^S is the slice with index 0 (the identity)
 on the parties outside S. Time is O(N d^(2N+2)); each product holds its
@@ -40,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .generators import GeneratorBasis, su_generators
+from .generators import su_generators
 from .linalg import (
     DensityMatrix,
     PartitionContext,
@@ -54,9 +59,6 @@ from .linalg import (
 )
 
 IMAG_TOL = 1e-10
-
-# a custom basis must be Hermitian, traceless and orthonormal to this
-BASIS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,17 +125,6 @@ class CorrelationTensorSet:
         return out
 
 
-def _stacked_mode(generators, d: int) -> np.ndarray:
-    # mode[a, (i, j)] = A_a[j, i] for A_0 = Id and A_a = (d/2) g_(a-1):
-    # contracting it with one party's (row, col) pair takes that party's
-    # share of the trace against A_a
-    mode = np.empty((d * d, d * d), dtype=np.complex128)
-    mode[0] = np.eye(d).ravel()
-    for a, g in enumerate(generators, start=1):
-        mode[a] = (d / 2.0) * g.T.ravel()
-    return mode
-
-
 # Default mode matrices are cached up to this local dimension, where one
 # takes 1 MB; larger ones (268 MB at d = 64) are rebuilt on each call, which
 # costs far less than the transform they feed.
@@ -142,49 +133,25 @@ _default_modes: dict = {}
 
 
 def _default_mode(d: int) -> np.ndarray:
-    """Mode matrix of the Gell-Mann basis, read-only."""
+    """Mode matrix of the Gell-Mann basis, read-only.
+
+    mode[a, (i, j)] = A_a[j, i] for A_0 = Id and A_a = (d/2) g_(a-1):
+    contracting it with one party's (row, col) pair takes that party's
+    share of the trace against A_a.
+    """
     mode = _default_modes.get(d)
     if mode is None:
-        mode = _stacked_mode(su_generators(d), d)
+        mode = np.empty((d * d, d * d), dtype=np.complex128)
+        mode[0] = np.eye(d).ravel()
+        mode[1:] = (d / 2.0) * su_generators(d).transpose(0, 2, 1).reshape(
+            d * d - 1, d * d)
         mode.setflags(write=False)
         if d <= _MODE_CACHE_MAX_DIM:
             _default_modes[d] = mode
     return mode
 
 
-def _basis_mode(basis: GeneratorBasis, d: int) -> np.ndarray:
-    """Mode matrix of a caller's basis, after checking it is one.
-
-    The basis needs d^2 - 1 generators of shape d x d, each Hermitian and
-    traceless, with Tr[g_a g_b] = 2 delta_ab; any violation above
-    ``BASIS_TOL`` raises the invariant ``basis``.
-    """
-    k = d * d - 1
-    shapes = {np.shape(g) for g in basis.generators}
-    if len(basis.generators) != k or shapes != {(d, d)}:
-        raise ValidationError(
-            "basis", len(basis.generators), k,
-            f"expected {k} generators of shape {(d, d)}, got "
-            f"{len(basis.generators)} of shapes {sorted(shapes)}")
-    g = np.array(basis.generators)
-    flat = g.reshape(k, d * d)
-    checks = (
-        ("not Hermitian", np.abs(g - g.conj().transpose(0, 2, 1)).max()),
-        ("not traceless", np.abs(np.trace(g, axis1=1, axis2=2)).max()),
-        # for Hermitian generators Tr[g_a g_b] = <g_a, g_b>, one Gram product
-        ("not orthonormal (Tr[g_a g_b] != 2 delta_ab)",
-         np.abs(flat @ flat.conj().T - 2.0 * np.eye(k)).max()),
-    )
-    for what, worst in checks:
-        if not worst <= BASIS_TOL:
-            raise ValidationError(
-                "basis", worst, BASIS_TOL,
-                f"basis is {what}: deviation {worst:.3g}")
-    return _stacked_mode(basis.generators, d)
-
-
-def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
-                  imag_tol: float, parties) -> np.ndarray:
+def _coefficients(rho: DensityMatrix, imag_tol: float, parties) -> np.ndarray:
     """Every (d/2)^|S| Tr[rho * (A_1 x ... x A_N)] in one mode-wise pass.
 
     Returns the real parts as an array with one axis of length d^2 per
@@ -196,7 +163,7 @@ def _coefficients(rho: DensityMatrix, basis: GeneratorBasis | None,
     """
     check_tolerance("tensor_reality", imag_tol)
     n, d = rho.ctx.n_parties, rho.ctx.local_dim
-    mode = _default_mode(d) if basis is None else _basis_mode(basis, d)
+    mode = _default_mode(d)
     pairs = [ax for k in range(n) for ax in (k, n + k)]
     c = rho.mat.reshape((d,) * (2 * n)).transpose(pairs).reshape(d * d, -1)
     for _ in range(n):
@@ -230,7 +197,6 @@ def _sector(coefficients: np.ndarray, mask: int) -> np.ndarray:
 
 
 def correlation_tensor(rho: DensityMatrix, subset: int,
-                       basis: GeneratorBasis | None = None,
                        imag_tol: float = IMAG_TOL) -> np.ndarray:
     """Tensor for one party subset, entries in generator-index order.
 
@@ -243,7 +209,7 @@ def correlation_tensor(rho: DensityMatrix, subset: int,
     ctx = rho.ctx
     check_mask(subset, ctx)
     red = rho if subset == ctx.full_mask else partial_trace(rho, subset)
-    coefficients = _coefficients(red, basis, imag_tol, parties_from_mask(subset))
+    coefficients = _coefficients(red, imag_tol, parties_from_mask(subset))
     return _sector(coefficients, red.ctx.full_mask).copy()
 
 
@@ -271,14 +237,13 @@ def _sector_norms(coefficients: np.ndarray) -> list:
 
 
 def all_tensors(rho: DensityMatrix,
-                basis: GeneratorBasis | None = None,
                 imag_tol: float = IMAG_TOL) -> CorrelationTensorSet:
     """Every sector tensor of ``rho`` from one transform, smallest masks first.
 
     Sectors are read-only views of one array, built on first access.
     """
     return CorrelationTensorSet(
-        rho.ctx, _coefficients(rho, basis, imag_tol, rho.ctx.parties()))
+        rho.ctx, _coefficients(rho, imag_tol, rho.ctx.parties()))
 
 
 # Every weight of a sector norm: (constant, (w_1, w_2, ...)) for
@@ -350,25 +315,3 @@ def reduced_purity_from_tensors(ts: CorrelationTensorSet, subset: int) -> float:
         acc += (2 ** r) * (d ** (m - r)) * ts.norms_sq[sub]
         sub = (sub - 1) & subset
     return acc / d ** (2 * m)
-
-
-def single_site_norm_identity(ts: CorrelationTensorSet) -> tuple:
-    """Both sides of the pure-state constraint on single-party norms.
-
-    For a pure state the single-party sector norms are fixed by the higher
-    sectors:
-
-        sum_{|S|=1} ||T^S||^2
-            = (d^(2N) - d^N) / (2 d^(N-1))
-              - sum_{l>=2} 2^l d^(N-l) / (2 d^(N-1)) * sum_{|S|=l} ||T^S||^2.
-
-    Returns (lhs, rhs). The identity encodes Tr[rho^2] = 1 and generally
-    fails on mixed states, which makes the gap a purity witness.
-    """
-    n, d = ts.ctx.n_parties, ts.ctx.local_dim
-    lhs = ts.norm_sq_by_size(1)
-    denom = 2.0 * d ** (n - 1)
-    rhs = (d ** (2 * n) - d ** n) / denom
-    for l in range(2, n + 1):
-        rhs -= (2 ** l) * (d ** (n - l)) / denom * ts.norm_sq_by_size(l)
-    return lhs, rhs

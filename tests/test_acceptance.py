@@ -26,7 +26,6 @@ from blochbounds import (
     make_state,
     partial_trace,
     pure_concurrence_purity,
-    pure_concurrence_tensor,
     purity,
     purity_from_tensors,
     random_mixed,
@@ -53,7 +52,7 @@ def test_pure_state_formula_equivalence():
         for i in range(200):
             rho = haar_random_pure(ctx, seed=1000 * n + 100 * d + i)
             via_purity = pure_concurrence_purity(rho)
-            via_tensor = pure_concurrence_tensor(all_tensors(rho))
+            via_tensor = concurrence_lower_bound(all_tensors(rho))[1]
             worst = max(worst, abs(via_purity - via_tensor))
     elapsed = time.perf_counter() - start
     report("pure-state concurrence: purity form == tensor form",
@@ -203,6 +202,13 @@ def test_separable_baseline():
     cases.append(StateSpec.from_dict(
         {"kind": "product", "n_parties": 3, "local_dim": 2,
          "params": {"kets": [[0.6, 0.8], [1, 0], [0.5, 0.5]]}}))
+    # Gaussian local kets: 2^N - 2 - R rounds to about -1e-15 on many
+    rng = np.random.default_rng(0)
+    for n, d in ((2, 2), (3, 2), (5, 2), (8, 2), (3, 3), (2, 4), (2, 8)):
+        for _ in range(5):
+            cases.append(StateSpec.from_dict(
+                {"kind": "product", "n_parties": n, "local_dim": d,
+                 "params": {"kets": rng.standard_normal((n, d)).tolist()}}))
     cases.append(StateSpec.from_dict({"kind": "ghz_noise",
                                       "params": {"x": 1.0}}))
     reports = [analyze(make_state(spec)) for spec in cases]
@@ -211,6 +217,7 @@ def test_separable_baseline():
         eye = np.eye(ctx.total_dim, dtype=complex) / ctx.total_dim
         reports.append(analyze(DensityMatrix(ctx, eye)))
     ok = all(rep.concurrence_lower == 0.0 and rep.tangle_lower == 0.0
+             and rep.tangle_upper >= rep.tangle_lower
              and rep.verdict == "inconclusive" for rep in reports)
     report("product and maximally mixed states: exact zeros, inconclusive",
            ok, f"{len(reports)} separable states checked")

@@ -26,7 +26,6 @@ from blochbounds.bounds import (
     detect,
     gme_threshold,
     pure_concurrence_purity,
-    pure_concurrence_tensor,
     random_decomposition,
     reduced_purity_sum,
     tangle_bounds,
@@ -47,7 +46,11 @@ from blochbounds.states import (
     make_state,
     random_mixed,
 )
-from blochbounds.tensors import all_tensors, reduced_purity_sum_from_norms
+from blochbounds.tensors import (
+    all_tensors,
+    correlation_tensor,
+    reduced_purity_sum_from_norms,
+)
 
 GHZ_CONCURRENCE = 1.224744871391589  # sqrt(3/2)
 W_CONCURRENCE = 1.1547005383792515   # sqrt(4/3)
@@ -104,7 +107,6 @@ class TestCoefficients:
         ts = all_tensors(rho)
         for call in (lambda: concurrence_lower_bound(ts),
                      lambda: tangle_bounds(ts),
-                     lambda: pure_concurrence_tensor(ts),
                      lambda: analyze(rho),
                      lambda: white_noise_crossing(rho, "entangled")):
             with pytest.raises(ValueError, match="at least two parties"):
@@ -136,19 +138,16 @@ class TestPureConcurrencePurity:
 
 
 class TestPureConcurrenceTensor:
+    """On pure states the raw lower bound is the concurrence, unclamped."""
+
     def test_ghz_arithmetic(self):
         ts = all_tensors(ghz3())
         # radicand is -3.25 + 0.75 * 3 + 1.0 * 4 = 3
-        assert abs(pure_concurrence_tensor(ts) - GHZ_CONCURRENCE) < 1e-12
+        assert abs(concurrence_lower_bound(ts)[1] - GHZ_CONCURRENCE) < 1e-12
 
     def test_product_state_is_zero(self):
         rho = make_state(StateSpec("product", PartitionContext(3, 2)))
-        assert pure_concurrence_tensor(all_tensors(rho)) < 1e-7
-
-    def test_rejects_clearly_mixed_tensors(self):
-        with pytest.raises(ValidationError) as err:
-            pure_concurrence_tensor(all_tensors(maximally_mixed(3, 2)))
-        assert err.value.invariant == "pure-radicand"
+        assert abs(concurrence_lower_bound(all_tensors(rho))[1]) < 1e-7
 
     @pytest.mark.parametrize("n,d,count", [
         (2, 2, 200), (3, 2, 200), (2, 3, 200),
@@ -163,7 +162,7 @@ class TestPureConcurrenceTensor:
         for _ in range(count):
             psi = haar_random_pure(ctx, rng)
             gap = abs(pure_concurrence_purity(psi)
-                      - pure_concurrence_tensor(all_tensors(psi)))
+                      - concurrence_lower_bound(all_tensors(psi))[1])
             worst = max(worst, gap)
         assert worst <= 1e-8
 
@@ -308,11 +307,14 @@ class TestEnsembleDecomposition:
         ctx = PartitionContext(3, 2)
         rho = random_mixed(ctx, 3, 5)
         for size in (3, 4, 5):
-            dec = random_decomposition(rho, size, np.random.default_rng(9))
-            assert dec.max_reconstruction_error(rho) < 1e-9
-            assert abs(sum(dec.weights) - 1.0) < 1e-12
-            for member in dec.members:
-                assert abs(purity(member) - 1.0) < 1e-10
+            weights, kets = random_decomposition(rho, size, np.random.default_rng(9))
+            assert weights.shape == (size,)
+            assert kets.shape == (ctx.total_dim, size)
+            assert (weights > 0).all()
+            assert abs(weights.sum() - 1.0) < 1e-12
+            assert np.abs(np.linalg.norm(kets, axis=0) - 1.0).max() < 1e-12
+            mix = (kets * weights) @ kets.conj().T
+            assert np.abs(mix - rho.mat).max() < 1e-9
 
     def test_size_below_rank_rejected(self):
         rho = random_mixed(PartitionContext(2, 2), 3, 11)
@@ -357,13 +359,20 @@ class TestConvexRoof:
 
 
 def projector_reference(rho, n_samples, seed):
-    """The roof estimate from projector members and partial-trace purities."""
+    """The roof estimate from projector members and partial-trace purities.
+
+    Each member is built through ``bounds.DensityMatrix``, so a counter
+    patched there sees this path.
+    """
     rank = int((np.linalg.eigvalsh(rho.mat) > bounds.RANK_TOL).sum())
     best = math.inf
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
-        dec = random_decomposition(rho, rank + k % 3, np.random.default_rng(child))
+        weights, kets = random_decomposition(rho, rank + k % 3,
+                                             np.random.default_rng(child))
+        members = [bounds.DensityMatrix(rho.ctx, np.outer(ket, ket.conj()))
+                   for ket in kets.T]
         best = min(best, sum(w * pure_concurrence_purity(member)
-                             for w, member in zip(dec.weights, dec.members)))
+                             for w, member in zip(weights, members)))
     return best
 
 
@@ -500,9 +509,10 @@ class TestKetRoof:
                             counting("partial_trace", partial_trace),
                             raising=False)
         convex_roof_upper_estimate(rho, 20, 1)
-        assert calls == Counter()
-        # the counters do see the projector path
         random_decomposition(rho, 4, 0)
+        assert calls == Counter()
+        # the counters do see the projector path: one sample of 4 members
+        projector_reference(rho, 1, 0)
         assert calls["DensityMatrix"] == 4
 
 
@@ -642,9 +652,13 @@ class TestAnalyze:
 
     def test_basis_keyword_removed(self):
         # a Pauli basis scaled by 1.5 used to certify GME at x = 0.5
-        scaled = [1.5 * g for g in su_generators(2)]
-        with pytest.raises(TypeError):
-            analyze(noisy_ghz(0.5), basis=scaled)
+        scaled = 1.5 * su_generators(2)
+        rho = noisy_ghz(0.5)
+        for call in (lambda: analyze(rho, basis=scaled),
+                     lambda: all_tensors(rho, basis=scaled),
+                     lambda: correlation_tensor(rho, 0b011, basis=scaled)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_local_unitary_invariance_of_report(self):
         ctx = PartitionContext(3, 2)

@@ -1,4 +1,4 @@
-"""Tests for the single-party generator basis and operator strings.
+"""Tests for the single-party generator array and operator strings.
 
 The d = 2 case is pinned to the literal Pauli matrices and orthonormality
 is checked through an independently computed Gram matrix.
@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from blochbounds.generators import (
-    GeneratorBasis,
     apply_local_unitaries,
-    embed,
     operator_string,
     su_generators,
 )
@@ -32,7 +30,8 @@ class TestConstruction:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_count_hermitian_traceless(self, d):
         basis = su_generators(d)
-        assert len(basis) == d * d - 1
+        assert basis.shape == (d * d - 1, d, d)
+        assert basis.dtype == np.complex128
         for g in basis:
             assert np.array_equal(g, g.conj().T)
             assert abs(g.trace()) < 1e-14
@@ -64,24 +63,30 @@ class TestConstruction:
         basis = su_generators(2)
         with pytest.raises(ValueError):
             basis[0][0, 0] = 5.0
+        with pytest.raises(ValueError):
+            basis[1] = SX
 
 
 class TestEmbed:
+    """One generator embedded at one position: a single-entry operator string."""
+
     def test_single_position(self):
         ctx = PartitionContext(2, 2)
         basis = su_generators(2)
-        assert np.array_equal(embed(basis, 2, 1, ctx), np.kron(SZ, np.eye(2)))
-        assert np.array_equal(embed(basis, 0, 2, ctx), np.kron(np.eye(2), SX))
+        assert np.array_equal(operator_string(basis, {1: 2}, ctx),
+                              np.kron(SZ, np.eye(2)))
+        assert np.array_equal(operator_string(basis, {2: 0}, ctx),
+                              np.kron(np.eye(2), SX))
 
     def test_range_checks(self):
         ctx = PartitionContext(2, 2)
         basis = su_generators(2)
-        with pytest.raises(ValueError):
-            embed(basis, 3, 1, ctx)
-        with pytest.raises(ValueError):
-            embed(basis, 0, 0, ctx)
-        with pytest.raises(ValueError):
-            embed(basis, 0, 3, ctx)
+        with pytest.raises(ValueError, match="generator index 3"):
+            operator_string(basis, {1: 3}, ctx)
+        with pytest.raises(ValueError, match="position 0"):
+            operator_string(basis, {0: 0}, ctx)
+        with pytest.raises(ValueError, match="position 3"):
+            operator_string(basis, {3: 0}, ctx)
 
 
 class TestOperatorString:
@@ -101,7 +106,8 @@ class TestOperatorString:
         ctx = PartitionContext(3, 3)
         basis = su_generators(3)
         got = operator_string(basis, {1: 4, 3: 7}, ctx)
-        expect = embed(basis, 4, 1, ctx) @ embed(basis, 7, 3, ctx)
+        expect = (operator_string(basis, {1: 4}, ctx)
+                  @ operator_string(basis, {3: 7}, ctx))
         assert np.allclose(got, expect, atol=1e-14)
 
     def test_outputs_hermitian(self):
@@ -147,10 +153,3 @@ class TestApplyLocalUnitaries:
         rho = DensityMatrix(ctx, np.eye(4) / 4)
         with pytest.raises(ValueError):
             apply_local_unitaries(rho, [np.eye(2)])
-
-
-def test_basis_equality_is_identity():
-    b1 = su_generators(2)
-    b2 = su_generators(2)
-    assert b1 is not b2
-    assert isinstance(b1, GeneratorBasis)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from blochbounds.generators import (
-    GeneratorBasis,
     apply_local_unitaries,
     operator_string,
     su_generators,
@@ -32,7 +31,6 @@ from blochbounds.tensors import (
     correlation_tensor,
     purity_from_tensors,
     reduced_purity_from_tensors,
-    single_site_norm_identity,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,6 +142,12 @@ class TestAllTensors:
         assert abs(ts.norm_sq_by_size(1)) < 1e-13
         assert abs(ts.norm_sq_by_size(2) - 3.0) < 1e-12
         assert abs(ts.norm_sq_by_size(3) - 4.0) < 1e-12
+        # |000>: only the all-z entries, one per subset, so n_l = C(3, l)
+        product = np.zeros((8, 8), dtype=complex)
+        product[0, 0] = 1.0
+        ts = all_tensors(DensityMatrix(PartitionContext(3, 2), product))
+        for size, count in ((1, 3), (2, 3), (3, 1)):
+            assert abs(ts.norm_sq_by_size(size) - count) < 1e-12
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
     def test_reconstruction(self, n, d):
@@ -238,38 +242,6 @@ class TestPurityIdentities:
         assert np.allclose(red_ts.sectors[0b11], ts.sectors[0b011], atol=1e-12)
 
 
-class TestSingleSiteIdentity:
-    def test_ghz_both_sides_zero(self):
-        lhs, rhs = single_site_norm_identity(all_tensors(ghz_state(3, 2)))
-        assert abs(lhs) < 1e-13
-        assert abs(rhs) < 1e-12
-
-    def test_product_state(self):
-        ctx = PartitionContext(3, 2)
-        m = np.zeros((8, 8), dtype=complex)
-        m[0, 0] = 1.0
-        lhs, rhs = single_site_norm_identity(all_tensors(DensityMatrix(ctx, m)))
-        assert abs(lhs - 3.0) < 1e-12
-        assert abs(lhs - rhs) < 1e-12
-
-    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
-    def test_holds_on_random_pure_states(self, n, d):
-        ctx = PartitionContext(n, d)
-        rng = np.random.default_rng(90 + 10 * n + d)
-        for _ in range(10):
-            v = rng.standard_normal(ctx.total_dim) + 1j * rng.standard_normal(ctx.total_dim)
-            v /= np.linalg.norm(v)
-            rho = DensityMatrix(ctx, np.outer(v, v.conj()))
-            lhs, rhs = single_site_norm_identity(all_tensors(rho))
-            assert abs(lhs - rhs) < 1e-9
-
-    def test_detects_mixedness(self):
-        ctx = PartitionContext(2, 2)
-        lhs, rhs = single_site_norm_identity(
-            all_tensors(DensityMatrix(ctx, np.eye(4) / 4)))
-        assert abs(lhs - rhs) > 0.1
-
-
 class TestInvariances:
     @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
     def test_local_unitary_invariance_of_norms(self, n, d):
@@ -295,11 +267,11 @@ class TestInvariances:
             assert np.allclose(mine, theirs, atol=1e-12)
 
 
-def oracle_coefficients(rho, basis=None):
+def oracle_coefficients(rho):
     """{mask: complex tensor} from one literal operator string per entry."""
     ctx = rho.ctx
     d = ctx.local_dim
-    basis = basis or su_generators(d)
+    basis = su_generators(d)
     out = {}
     for mask in nonempty_masks(ctx.n_parties):
         parties = parties_from_mask(mask)
@@ -322,28 +294,6 @@ class TestModeWiseTransform:
             for mask, expect in oracle_coefficients(rho).items():
                 assert ts.sectors[mask].shape == expect.shape
                 assert np.abs(ts.sectors[mask] - expect.real).max() <= 1e-14
-
-    @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
-    def test_permuted_negated_basis(self, n, d):
-        ctx = PartitionContext(n, d)
-        rho = random_state(ctx, np.random.default_rng(17 + n + d), rank=3)
-        base = su_generators(d)
-        rng = np.random.default_rng(5)
-        perm = rng.permutation(len(base))
-        sign = np.where(rng.random(len(base)) < 0.5, -1.0, 1.0)
-        sign[0] = -1.0
-        custom = GeneratorBasis(d, tuple(sign[k] * base[perm[k]]
-                                         for k in range(len(base))))
-        ts, ts_custom = all_tensors(rho), all_tensors(rho, custom)
-        for mask, t in ts.sectors.items():
-            m = t.ndim
-            expect = t[np.ix_(*[perm] * m)]
-            for axis in range(m):
-                shape = [1] * m
-                shape[axis] = -1
-                expect = expect * sign.reshape(shape)
-            assert np.abs(ts_custom.sectors[mask] - expect).max() <= 1e-14
-            assert abs(ts_custom.norms_sq[mask] - ts.norms_sq[mask]) <= 1e-13
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_reality_magnitude_is_worst_residue(self, d):
@@ -393,6 +343,24 @@ class TestModeWiseTransform:
             assert t.shape == ts.sectors[mask].shape
             assert np.abs(t - ts.sectors[mask]).max() <= 1e-14
 
+
+    def test_default_mode_built_once_per_dimension(self):
+        from blochbounds import tensors
+
+        mode = tensors._default_mode(3)
+        assert tensors._default_mode(3) is mode
+        assert not mode.flags.writeable
+        assert mode.shape == (9, 9)
+
+    def test_large_default_mode_not_kept(self):
+        from blochbounds import tensors
+
+        d = tensors._MODE_CACHE_MAX_DIM + 1
+        mode = tensors._default_mode(d)
+        assert not mode.flags.writeable
+        assert tensors._default_mode(d) is not mode
+        assert d not in tensors._default_modes
+        np.testing.assert_array_equal(tensors._default_mode(d), mode)
 
 def _root(a):
     while a.base is not None:
@@ -520,91 +488,3 @@ class TestSectorViewsAndNorms:
             CorrelationTensorSet(PartitionContext(2, 2), coeffs)
         assert info.value.invariant == "finite"
         assert info.value.magnitude >= 1
-
-
-class TestCustomBasisCheck:
-    def _rho(self, n=2, d=2):
-        return random_state(PartitionContext(n, d), np.random.default_rng(700), rank=2)
-
-    def _expect_basis_error(self, rho, basis):
-        with pytest.raises(ValidationError) as err:
-            all_tensors(rho, basis)
-        assert err.value.invariant == "basis"
-        with pytest.raises(ValidationError) as err_one:
-            correlation_tensor(rho, 0b01, basis)
-        assert err_one.value.invariant == "basis"
-        return err.value
-
-    def test_non_hermitian_rejected(self):
-        gens = list(su_generators(2))
-        gens[1] = np.array([[0, 1], [0, 0]], dtype=complex) * np.sqrt(2)
-        err = self._expect_basis_error(self._rho(), GeneratorBasis(2, tuple(gens)))
-        assert "Hermitian" in str(err)
-        assert err.magnitude == pytest.approx(np.sqrt(2))
-
-    def test_non_traceless_rejected(self):
-        gens = list(su_generators(3))
-        gens[0] = gens[0] + 1e-9 * np.eye(3)
-        err = self._expect_basis_error(self._rho(2, 3), GeneratorBasis(3, tuple(gens)))
-        assert "traceless" in str(err)
-
-    @pytest.mark.parametrize("scale", [1.5, 1 + 1e-11])
-    def test_non_orthonormal_rejected(self, scale):
-        # the scaled Pauli basis that used to certify GME at x = 0.5
-        basis = GeneratorBasis(2, tuple(scale * g for g in su_generators(2)))
-        err = self._expect_basis_error(self._rho(), basis)
-        assert "orthonormal" in str(err)
-        assert err.tolerance == 1e-12
-
-    def test_non_orthogonal_rejected(self):
-        sx, sy, sz = su_generators(2)
-        mixed = (sx + sz) / np.sqrt(2)  # normalized, but overlaps sx
-        self._expect_basis_error(self._rho(), GeneratorBasis(2, (sx, sy, mixed)))
-
-    @pytest.mark.parametrize("gens", [
-        tuple(su_generators(2))[:2],                       # too few
-        tuple(su_generators(2)) + (np.zeros((2, 2)),),     # too many
-        tuple(su_generators(3))[:3],                       # d = 3 blocks on d = 2
-    ])
-    def test_wrong_size_rejected(self, gens):
-        basis = GeneratorBasis(2, gens)
-        err = self._expect_basis_error(self._rho(), basis)
-        assert err.tolerance == 3
-
-    def test_tiny_rounding_accepted(self):
-        rho = self._rho()
-        basis = GeneratorBasis(2, tuple((1 + 1e-14) * g for g in su_generators(2)))
-        ts, ref = all_tensors(rho, basis), all_tensors(rho)
-        for mask, t in ts.sectors.items():
-            assert np.abs(t - ref.sectors[mask]).max() <= 1e-13
-
-    def test_default_basis_skips_the_check(self, monkeypatch):
-        from blochbounds import selfcheck, tensors
-
-        def refuse(basis, d):
-            raise AssertionError("default basis was checked")
-
-        monkeypatch.setattr(tensors, "_basis_mode", refuse)
-        all_tensors(self._rho(3, 2))
-        correlation_tensor(self._rho(3, 2), 0b101)
-        summary = selfcheck.run_verification(ns=(2,), ds=(2, 3), n_states=3,
-                                             roof_samples=2)
-        assert summary["all_passed"]
-
-    def test_default_mode_built_once_per_dimension(self):
-        from blochbounds import tensors
-
-        mode = tensors._default_mode(3)
-        assert tensors._default_mode(3) is mode
-        assert not mode.flags.writeable
-        assert mode.shape == (9, 9)
-
-    def test_large_default_mode_not_kept(self):
-        from blochbounds import tensors
-
-        d = tensors._MODE_CACHE_MAX_DIM + 1
-        mode = tensors._default_mode(d)
-        assert not mode.flags.writeable
-        assert tensors._default_mode(d) is not mode
-        assert d not in tensors._default_modes
-        np.testing.assert_array_equal(tensors._default_mode(d), mode)

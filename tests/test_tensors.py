@@ -343,7 +343,6 @@ class TestModeWiseTransform:
             assert t.shape == ts.sectors[mask].shape
             assert np.abs(t - ts.sectors[mask]).max() <= 1e-14
 
-
     def test_default_mode_built_once_per_dimension(self):
         from blochbounds import tensors
 
@@ -361,6 +360,7 @@ class TestModeWiseTransform:
         assert tensors._default_mode(d) is not mode
         assert d not in tensors._default_modes
         np.testing.assert_array_equal(tensors._default_mode(d), mode)
+
 
 def _root(a):
     while a.base is not None:

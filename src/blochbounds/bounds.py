@@ -268,15 +268,44 @@ def detect(concurrence_lower: float, gme_level: float | None = None) -> str:
     return INCONCLUSIVE
 
 
-def _eigen_factor(rho):
-    # (rho + rho*) / 2 formed in one d^N x d^N array
-    herm = rho.mat.conj().T
-    herm += rho.mat
-    herm *= 0.5
-    evals, evecs = np.linalg.eigh(herm)
-    del herm
-    keep = evals > RANK_TOL
-    return evecs[:, keep] * np.sqrt(evals[keep])
+def _factor(rho) -> np.ndarray:
+    """A d^N x r factor F with F F* = H, the Hermitian part of rho, up to
+    a residual below ``RANK_TOL``, by pivoted Cholesky.
+
+    Each step pivots on the largest residual diagonal entry p, reads
+    column p of H as (rho[:, p] + conj(rho[p, :])) / 2, subtracts the
+    columns found so far and divides by the root of the pivot. It stops
+    when no residual diagonal entry exceeds ``RANK_TOL``, so r, the
+    numerical rank, is the number of pivots kept (Higham 1990; Harbrecht,
+    Peters & Schneider, Appl. Numer. Math. 62, 428 (2012)). For PSD H the
+    dropped residual S = H - F F* is PSD too, so every
+    |S_ij| <= max_i S_ii <= ``RANK_TOL``. If H has a negative eigenvalue
+    that validation tolerated, S keeps a negative part that can exceed
+    it. Step k costs O(d^N k); no d^N x d^N array is formed, and the
+    columns live in a buffer of at most 2r columns, doubled as they fill.
+    """
+    mat = rho.mat
+    dim = mat.shape[0]
+    residual = mat.diagonal().real.copy()
+    cols = np.empty((dim, min(dim, 8)), dtype=complex, order="F")
+    k = 0
+    while True:
+        p = int(residual.argmax())
+        pivot = residual[p]
+        if pivot <= RANK_TOL:
+            return cols[:, :k]
+        if k == cols.shape[1]:
+            grown = np.empty((dim, min(dim, 2 * k)), dtype=complex, order="F")
+            grown[:, :k] = cols
+            cols = grown
+        col = mat[:, p] + mat[p, :].conj()
+        col *= 0.5
+        col -= cols[:, :k] @ cols[p, :k].conj()
+        col /= math.sqrt(pivot)
+        cols[:, k] = col
+        residual -= col.real ** 2 + col.imag ** 2
+        residual[p] = 0.0  # exact, not rounding noise that could pivot again
+        k += 1
 
 
 # Complex entries in one block of stacked samples of the roof estimate.
@@ -321,10 +350,11 @@ def random_decomposition(rho: DensityMatrix, size: int, rng=None) -> tuple:
     d^N x m array whose columns are unit kets, with
     rho = sum_i weights[i] |k_i><k_i| to rounding. Members whose weight
     falls below ``_WEIGHT_FLOOR`` are dropped, so m <= ``size``. ``size``
-    must reach the numerical rank; larger sizes explore ensembles with
-    more members than eigenvectors.
+    must reach the numerical rank r, the number of pivots the
+    pivoted-Cholesky factor of rho keeps (``_factor``); larger sizes
+    explore ensembles with more members than the factor has columns.
     """
-    factor = _eigen_factor(rho)
+    factor = _factor(rho)
     rank = factor.shape[1]
     if size < rank:
         raise ValueError(f"need at least rank {rank} members, got {size}")
@@ -465,6 +495,8 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
     spawned seed, so enlarging n_samples keeps earlier samples identical
     and the estimate nonincreasing for a fixed seed.
 
+    The numerical rank r is the number of pivots the pivoted-Cholesky
+    factor of rho keeps (``_factor``): no eigendecomposition is made.
     Every member is the ket factor @ c for rank-r coefficients c, and the
     member's purity sum over the 2^(N-1) - 1 bipartitions S is computed in
     one of two contraction orders, chosen from (N, d, r) alone
@@ -487,7 +519,7 @@ def convex_roof_upper_estimate(rho: DensityMatrix, n_samples: int = 200,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    factor = _eigen_factor(rho)
+    factor = _factor(rho)
     rank = factor.shape[1]
     if rank == 1:
         # a pure state admits only itself

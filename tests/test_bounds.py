@@ -9,6 +9,7 @@ form (the ``paper_coefficients`` fixture).
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from blochbounds.linalg import (
     ValidationError,
     partial_trace,
     purity,
+    validate_density,
 )
 from blochbounds.states import (
     StateSpec,
@@ -364,7 +366,7 @@ def projector_reference(rho, n_samples, seed):
     Each member is built through ``bounds.DensityMatrix``, so a counter
     patched there sees this path.
     """
-    rank = int((np.linalg.eigvalsh(rho.mat) > bounds.RANK_TOL).sum())
+    rank = bounds._factor(rho).shape[1]
     best = math.inf
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
         weights, kets = random_decomposition(rho, rank + k % 3,
@@ -484,14 +486,6 @@ class TestKetRoof:
                     assert rank <= 16
                     assert rank ** 2 * widest ** 2 <= 256 * ctx.total_dim
 
-    def test_eigen_factor_matches_out_of_place_symmetrisation(self):
-        for n, d, rank in [(3, 2, 2), (7, 2, 4), (3, 3, None), (2, 4, 5)]:
-            rho = random_mixed(PartitionContext(n, d), rank, 40 + n)
-            evals, evecs = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2.0)
-            keep = evals > bounds.RANK_TOL
-            expect = evecs[:, keep] * np.sqrt(evals[keep])
-            assert np.array_equal(bounds._eigen_factor(rho), expect)
-
     def test_never_builds_projectors(self, monkeypatch):
         rho = random_mixed(PartitionContext(6, 2), 4, 21)
         calls = Counter()
@@ -514,6 +508,100 @@ class TestKetRoof:
         # the counters do see the projector path: one sample of 4 members
         projector_reference(rho, 1, 0)
         assert calls["DensityMatrix"] == 4
+
+    def test_never_diagonalises(self, monkeypatch):
+        states = [random_mixed(PartitionContext(6, 2), 4, 21),
+                  random_mixed(PartitionContext(3, 2), None, 22)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the roof path diagonalised rho")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for rho in states:
+            convex_roof_upper_estimate(rho, 20, 1)
+            random_decomposition(rho, rho.ctx.total_dim, 0)
+        # the patch does catch a diagonalisation
+        with pytest.raises(AssertionError, match="diagonalised"):
+            np.linalg.eigvalsh(states[0].mat)
+
+
+def spectral_state(ctx, evals, seed):
+    """U diag(evals) U* for a Haar unitary U, through ``validate_density``."""
+    u = haar_unitary(ctx.total_dim, seed)
+    return validate_density((u * evals) @ u.conj().T, ctx)
+
+
+class TestFactor:
+    """``bounds._factor``: pivoted Cholesky of the Hermitian part."""
+
+    @staticmethod
+    def residual(rho):
+        factor = bounds._factor(rho)
+        herm = (rho.mat + rho.mat.conj().T) / 2.0
+        return factor, herm - factor @ factor.conj().T
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (7, 2), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("rank", [1, 2, 4, 8, None])
+    def test_reconstructs_gapped_states(self, n, d, rank):
+        rho = random_mixed(PartitionContext(n, d), rank, 40 + n)
+        factor, resid = self.residual(rho)
+        assert np.abs(resid).max() <= 1e-14
+        herm = (rho.mat + rho.mat.conj().T) / 2.0
+        keep = int((np.linalg.eigvalsh(herm) > bounds.RANK_TOL).sum())
+        assert factor.shape[1] == keep == (rank or rho.ctx.total_dim)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("x", [0.05, 0.5, 1.0])
+    def test_reconstructs_noisy_ghz(self, n, d, x):
+        ctx = PartitionContext(n, d)
+        rho = make_state(StateSpec("ghz_noise_general", ctx, {"x": x}))
+        factor, resid = self.residual(rho)
+        assert np.abs(resid).max() <= 1e-14
+        assert factor.shape[1] == ctx.total_dim
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (7, 2), (2, 4)])
+    @pytest.mark.parametrize("tiny", [1e-13, 1e-11])
+    @pytest.mark.parametrize("rank", [4, None])
+    def test_residual_below_rank_tol(self, n, d, tiny, rank):
+        # one eigenvalue near RANK_TOL: the dropped residual is PSD, so
+        # every entry is at most its largest diagonal entry
+        ctx = PartitionContext(n, d)
+        rank = rank or ctx.total_dim
+        evals = np.zeros(ctx.total_dim)
+        evals[:rank - 1] = np.linspace(1.0, 2.0, rank - 1)
+        evals[:rank - 1] *= (1.0 - tiny) / evals.sum()
+        evals[rank - 1] = tiny
+        _, resid = self.residual(spectral_state(ctx, evals, 5 + n))
+        assert np.abs(resid).max() <= bounds.RANK_TOL + 1e-15
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (7, 2), (2, 4)])
+    def test_slightly_negative_state_keeps_the_positive_part(self, n, d):
+        # lambda_min = -5e-11 passes validation (positivity tolerance 1e-10).
+        # The residual is then not PSD, so its entries are not bounded by
+        # its diagonal: here it is negative semidefinite up to rounding,
+        # with entries up to 5e-11 at (3,2)
+        ctx = PartitionContext(n, d)
+        evals = np.zeros(ctx.total_dim)
+        evals[:4] = 0.25 + 1.25e-11
+        evals[4] = -5e-11
+        rho = spectral_state(ctx, evals, 9 + n)
+        factor, resid = self.residual(rho)
+        assert factor.shape[1] == 4
+        assert np.diagonal(resid).real.max() <= bounds.RANK_TOL
+        assert np.linalg.eigvalsh(resid)[-1] <= bounds.RANK_TOL + 1e-15
+
+    def test_no_square_array_below_full_rank(self):
+        # (10,2) rank 4: a d^N x d^N complex array is 16 MiB
+        rho = random_mixed(PartitionContext(10, 2), 4, 3)
+        tracemalloc.start()
+        try:
+            factor = bounds._factor(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor.shape == (1024, 4)
+        assert peak < 1024 * 1024 * 16 / 64
 
 
 class TestLatticePurities:

@@ -1,33 +1,31 @@
 """Time the cap-sized layers of blochbounds and record them in BENCH_cap.json.
 
-    python3 tools/cap_layers.py            # every shape, ~15 minutes
-    python3 tools/cap_layers.py --quick    # (10, 2) and (6, 4), under a minute
+    python3 tools/cap_layers.py            # every shape, ~30 seconds
+    python3 tools/cap_layers.py --quick    # (10, 2) and (6, 4), ~5 seconds
 
 Each (N, d) shape runs in its own subprocess, with BLAS pinned to one
 thread, against the sources in ``src/`` beside this script. The subprocess
 builds a seeded rank-4 ``random_mixed`` state, then runs
 ``reduced_purity_sum``, ``all_tensors`` and
 ``convex_roof_upper_estimate(rho, 11, seed)`` each in a forked copy of
-itself (``--quick`` runs the roof on (10, 2) only). A forked copy starts
-its ``ru_maxrss`` at the current RSS, not at the high-water mark the
-state's construction left, so the peak it reports is the state plus that
-one layer; the RSS at the start is recorded beside it.
+itself. A forked copy starts its ``ru_maxrss`` at the current RSS, not at
+the high-water mark the state's construction left, so the peak it reports
+is the state plus that one layer; the RSS at the start is recorded beside
+it.
 
 Every run checks its answers and fails (exit 1, nothing written) when a
 layer is wrong: ``purity_from_tensors`` against ``purity`` to 1e-10, the
 walk's sum against the sum of ``reduced_purity_from_tensors`` over all
 proper subsets and against the closed form ``analyze`` uses
 (``reduced_purity_sum_from_norms``), each to a relative 1e-10, and the
-roof against the clamped
-concurrence lower bound less 1e-9, which it must not fall below. On
-(10, 2) the forked copy then reruns the roof in the contraction order the
-rule did not pick, after the clock stops, and the two estimates must agree
-to 1e-12 (the lower bound of the seeded state is 0, so the sandwich alone
-cannot fail there; the larger shapes skip this second run, whose eigh
-would take minutes). Beside the checks, ``paper_form_abs_gap`` records the
-absolute difference between the gap g the package computes from two
-purities and the paper's sector-norm form of g, the rounding of the
-two-purity form at the cap.
+roof against the clamped concurrence lower bound less 1e-9, which it must
+not fall below. The forked copy then reruns the roof in the contraction
+order the rule did not pick, after the clock stops, and the two estimates
+must agree to 1e-12 (the lower bound of the seeded state is 0 on several
+shapes, so the sandwich alone cannot fail there). Beside the checks,
+``paper_form_abs_gap`` records the absolute difference between the gap g
+the package computes from two purities and the paper's sector-norm form
+of g, the rounding of the two-purity form at the cap.
 
 The record carries the commit, whether tracked sources differ from it, and
 the package version. ``BENCH_cap.json`` at the repository root keeps one run
@@ -52,8 +50,6 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_cap.json"
 SHAPES = ((10, 2), (12, 2), (6, 4), (4, 8), (3, 16), (2, 64))
 QUICK_SHAPES = ((10, 2), (6, 4))
-QUICK_ROOF_SHAPES = ((10, 2),)
-ORDER_CHECK_SHAPES = ((10, 2),)
 RANK = 4
 SEED = 7
 ROOF_SAMPLES = 11
@@ -114,7 +110,7 @@ def _paper_gap(ts, n: int, d: int) -> float:
                * ts.norm_sq_by_size(l) for l in range(2, n + 1)) - constant
 
 
-def measure(n: int, d: int, roof: bool) -> dict:
+def measure(n: int, d: int) -> dict:
     """Time the layers on one shape and check them; runs in the child."""
     from blochbounds import bounds
     from blochbounds.bounds import (concurrence_lower_bound,
@@ -150,27 +146,23 @@ def measure(n: int, d: int, roof: bool) -> dict:
     passed = (tensors["purity_gap"] <= PURITY_TOL
               and tensors["purity_sum_rel_gap"] <= PURITY_SUM_REL_TOL
               and tensors["closed_form_rel_gap"] <= PURITY_SUM_REL_TOL)
-    estimate = None
-    if roof:
-        form = bounds._purity_form_pays(ctx, RANK)
+    form = bounds._purity_form_pays(ctx, RANK)
 
-        def roof_checks(value):
-            fields = {"estimate": value, "samples": ROOF_SAMPLES,
-                      "order": "form" if form else "ket"}
-            if (n, d) in ORDER_CHECK_SHAPES:
-                # the forked copy ends after this, so the patch dies with it
-                bounds._purity_form_pays = lambda ctx, rank: not form
-                other = convex_roof_upper_estimate(rho, ROOF_SAMPLES, SEED)
-                fields["other_order_gap"] = abs(value - other)
-            return fields
+    def roof_checks(value):
+        # the forked copy ends after this, so the patch dies with it
+        bounds._purity_form_pays = lambda ctx, rank: not form
+        other = convex_roof_upper_estimate(rho, ROOF_SAMPLES, SEED)
+        return {"estimate": value, "samples": ROOF_SAMPLES,
+                "order": "form" if form else "ket",
+                "other_order_gap": abs(value - other)}
 
-        estimate = _forked(
-            lambda: convex_roof_upper_estimate(rho, ROOF_SAMPLES, SEED),
-            roof_checks)
-        passed = (passed
-                  and estimate["estimate"] >= (tensors["concurrence_lower"]
-                                               - ROOF_SANDWICH_TOL)
-                  and estimate.get("other_order_gap", 0.0) <= ROOF_ORDER_TOL)
+    estimate = _forked(
+        lambda: convex_roof_upper_estimate(rho, ROOF_SAMPLES, SEED),
+        roof_checks)
+    passed = (passed
+              and estimate["estimate"] >= (tensors["concurrence_lower"]
+                                           - ROOF_SANDWICH_TOL)
+              and estimate["other_order_gap"] <= ROOF_ORDER_TOL)
     return {
         "n_parties": n,
         "local_dim": d,
@@ -191,12 +183,11 @@ def _git(*args) -> str | None:
     return out.stdout.strip()
 
 
-def _run_shape(n: int, d: int, roof: bool) -> dict:
+def _run_shape(n: int, d: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in BLAS_VARS})
     out = subprocess.run(
-        [sys.executable, __file__, "--shape", f"{n},{d}"]
-        + (["--roof"] if roof else []),
+        [sys.executable, __file__, "--shape", f"{n},{d}"],
         env=env, capture_output=True, text=True, check=False)
     if out.returncode:
         raise SystemExit(f"shape ({n}, {d}) failed:\n{out.stderr}")
@@ -206,15 +197,13 @@ def _run_shape(n: int, d: int, roof: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="run only (10, 2) and (6, 4), the roof on "
-                             "(10, 2) only")
+                        help="run only (10, 2) and (6, 4)")
     parser.add_argument("--shape", help=argparse.SUPPRESS)
-    parser.add_argument("--roof", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.shape:  # child: one shape, one JSON line on stdout
         n, d = (int(v) for v in args.shape.split(","))
-        print(json.dumps(measure(n, d, args.roof)))
+        print(json.dumps(measure(n, d)))
         return 0
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -223,12 +212,12 @@ def main(argv=None) -> int:
 
     shapes = []
     for n, d in QUICK_SHAPES if args.quick else SHAPES:
-        shape = _run_shape(n, d, not args.quick or (n, d) in QUICK_ROOF_SHAPES)
+        shape = _run_shape(n, d)
         print(f"({n}, {d}): " + ", ".join(
             f"{layer} {shape[layer]['seconds']:.3f} s "
             f"{shape[layer]['rss_mb']:.0f} MB"
-            for layer in ("reduced_purity_sum", "all_tensors", "roof")
-            if shape[layer]), file=sys.stderr)
+            for layer in ("reduced_purity_sum", "all_tensors", "roof")),
+            file=sys.stderr)
         shapes.append(shape)
     failed = [(s["n_parties"], s["local_dim"]) for s in shapes
               if not s["passed"]]

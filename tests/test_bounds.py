@@ -526,6 +526,10 @@ class TestKetRoof:
             np.linalg.eigvalsh(states[0].mat)
 
 
+def hermitian_part(rho):
+    return (rho.mat + rho.mat.conj().T) / 2.0
+
+
 def spectral_state(ctx, evals, seed):
     """U diag(evals) U* for a Haar unitary U, through ``validate_density``."""
     u = haar_unitary(ctx.total_dim, seed)
@@ -538,8 +542,7 @@ class TestFactor:
     @staticmethod
     def residual(rho):
         factor = bounds._factor(rho)
-        herm = (rho.mat + rho.mat.conj().T) / 2.0
-        return factor, herm - factor @ factor.conj().T
+        return factor, hermitian_part(rho) - factor @ factor.conj().T
 
     @pytest.mark.parametrize("n,d", [(3, 2), (7, 2), (3, 3), (2, 4)])
     @pytest.mark.parametrize("rank", [1, 2, 4, 8, None])
@@ -547,8 +550,8 @@ class TestFactor:
         rho = random_mixed(PartitionContext(n, d), rank, 40 + n)
         factor, resid = self.residual(rho)
         assert np.abs(resid).max() <= 1e-14
-        herm = (rho.mat + rho.mat.conj().T) / 2.0
-        keep = int((np.linalg.eigvalsh(herm) > bounds.RANK_TOL).sum())
+        evals = np.linalg.eigvalsh(hermitian_part(rho))
+        keep = int((evals > bounds.RANK_TOL).sum())
         assert factor.shape[1] == keep == (rank or rho.ctx.total_dim)
 
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3), (2, 4)])

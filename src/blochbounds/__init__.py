@@ -21,8 +21,11 @@ from .bounds import (
     detect,
     gme_threshold,
     pure_concurrence_purity,
+    purity_from_tensors,
     random_decomposition,
+    reduced_purity_from_tensors,
     reduced_purity_sum,
+    reduced_purity_sum_from_norms,
     tangle_bounds,
     white_noise_crossing,
 )
@@ -58,13 +61,6 @@ from .states import (
     random_mixed,
     threshold_scan,
 )
-from .tensors import (
-    CorrelationTensorSet,
-    all_tensors,
-    correlation_tensor,
-    purity_from_tensors,
-    reduced_purity_from_tensors,
-    reduced_purity_sum_from_norms,
-)
+from .tensors import CorrelationTensorSet, all_tensors, correlation_tensor
 
 __version__ = "0.1.0"

@@ -20,11 +20,13 @@ R = sum_S Tr[rho_S^2] over the 2^N - 2 proper subsets,
 
     g = (2^N - 2 - R) - ((d+1)^(N-1) - 1) (1 - P),
 
-the pure-state radicand less a linear-entropy penalty. P and R are O(N)
-sums of the per-size sector norms n_a (``purity_from_tensors``,
+the pure-state radicand less a linear-entropy penalty. A tensor set is
+read only through its sector lengths n_a = sum_{|S|=a} ||T^S||^2, and P
+and R are O(N) sums of them (``purity_from_tensors``,
 ``reduced_purity_sum_from_norms``), in which n_l weighs 2^l d^-(N+l) and
 w_l = 2^l ((d+1)^(N-l) - 1) / d^(N+l). So n_l enters g with weight
 ((d+1)^(N-1) - 1) 2^l d^-(N+l) - w_l = k_l, and the constants sum to -K.
+Every such weight and constant is defined here, once.
 
 The raw lower bound is reported as the signed square root of the gap. On
 pure states this reproduces the concurrence exactly; on the noisy-GHZ
@@ -47,20 +49,14 @@ from .linalg import (
     DensityMatrix,
     PartitionContext,
     ValidationError,
+    check_mask,
     hs_norm_sq,
     parties_from_mask,
     purity,
+    subset_size,
 )
 from .states import RNG_NAME, ginibre, haar_from_ginibre
-from .tensors import (
-    IMAG_TOL,
-    CorrelationTensorSet,
-    _purity_sum_weights,
-    _purity_weights,
-    all_tensors,
-    purity_from_tensors,
-    reduced_purity_sum_from_norms,
-)
+from .tensors import IMAG_TOL, CorrelationTensorSet, all_tensors
 
 SCHEMA_VERSION = 1
 
@@ -76,8 +72,19 @@ ENTANGLED = "entangled"
 INCONCLUSIVE = "inconclusive"
 
 
-# Exact per-(N, d) constants (here and in _gme_level) are rounded once and
-# cached by (N, d), so contexts that differ only in dim_cap share them.
+# Exact per-(N, d) constants (these two tables and _gme_level) are rounded
+# once and cached by (N, d), so contexts differing only in dim_cap share them.
+@cache
+def _purity_weights(n: int, d: int) -> tuple:
+    """((P_0, (p_1..p_N)), (R_0, (w_1..w_(N-1)))) with P = P_0 + sum_a p_a n_a
+    and R = R_0 + sum_a w_a n_a; P_0 and R_0 are those of 1/d^N."""
+    dn = d ** n
+    return ((1 / dn, tuple(2 ** a / d ** (n + a) for a in range(1, n + 1))),
+            (((d + 1) ** n - dn - 1) / dn,
+             tuple(2 ** a * ((d + 1) ** (n - a) - 1) / d ** (n + a)
+                   for a in range(1, n))))
+
+
 @cache
 def _gap_constants(n: int, d: int) -> tuple:
     """(c, K): the integer c = (d+1)^(N-1) - 1 and the separable-level
@@ -89,13 +96,68 @@ def _gap_constants(n: int, d: int) -> tuple:
     return (d + 1) ** (n - 1) - 1, constant
 
 
+def _purities(ts: CorrelationTensorSet) -> tuple:
+    """(P, R) from the sector lengths n_a = ``ts.norm_sq_by_size(a)``."""
+    n = ts.ctx.n_parties
+    lengths = [ts.norm_sq_by_size(a) for a in range(1, n + 1)]
+    return tuple(constant + sum(w * n_a for w, n_a in zip(weights, lengths))
+                 for constant, weights in _purity_weights(n, ts.ctx.local_dim))
+
+
+def purity_from_tensors(ts: CorrelationTensorSet) -> float:
+    """Tr[rho^2] from the sector lengths n_a = ``ts.norm_sq_by_size(a)``.
+
+    d^(2N) Tr[rho^2] = d^N + sum_S 2^|S| d^(N - |S|) ||T^S||^2, so
+    Tr[rho^2] = d^-N + sum_{a=1}^{N} 2^a d^-(N+a) n_a: O(N) work.
+    """
+    return _purities(ts)[0]
+
+
+def reduced_purity_sum_from_norms(ts: CorrelationTensorSet) -> float:
+    """Sum of Tr[rho_S^2] over all 2^N - 2 proper nonempty reductions, from
+    the sector lengths n_a = ``ts.norm_sq_by_size(a)``.
+
+    Each reduced purity is Tr[rho_S^2] = d^-m sum_{A in S} (2/d)^|A| ||T^A||^2
+    with m = |S| and ||T^{}||^2 = 1. A set A of size a lies in C(N-a, m-a)
+    proper subsets of size m, so over every proper S
+
+        sum_S Tr[rho_S^2] = sum_{m=1}^{N-1} C(N, m) d^-m + sum_{a=1}^{N-1} w_a n_a,
+        w_a = (2/d)^a sum_{m=a}^{N-1} C(N-a, m-a) d^-m,
+
+    and the binomial theorem closes both sums: the constant is
+    ((d+1)^N - d^N - 1) / d^N and w_a = 2^a ((d+1)^(N-a) - 1) / d^(N+a).
+    Numerators and denominators are exact integers, so each weight is
+    rounded once. O(N) on numbers the tensor set already holds; agrees
+    with the partial-trace walk ``reduced_purity_sum`` to rounding.
+    """
+    return _purities(ts)[1]
+
+
+def reduced_purity_from_tensors(ts: CorrelationTensorSet, subset: int) -> float:
+    """Tr[rho_S^2] for a proper subset, from the sectors inside it.
+
+    Works because tracing out parties leaves every tensor over a subset of
+    the kept parties unchanged, so the full-state sectors already contain
+    the reduction's expansion.
+    """
+    check_mask(subset, ts.ctx, proper=True)
+    d, m = ts.ctx.local_dim, subset_size(subset)
+    acc = float(d ** m)
+    sub = subset
+    while sub:
+        r = subset_size(sub)
+        acc += (2 ** r) * (d ** (m - r)) * ts.norms_sq[sub]
+        sub = (sub - 1) & subset
+    return acc / d ** (2 * m)
+
+
 def _gap(ts: CorrelationTensorSet) -> tuple:
     """(g, R): the gap g = (2^N - 2 - R) - c (1 - P) from P = Tr[rho^2] and
     R = sum_S Tr[rho_S^2], with g within ``ZERO_SNAP`` of 0 snapped to 0."""
     n = ts.ctx.n_parties
     c, _ = _gap_constants(n, ts.ctx.local_dim)
-    red_total = reduced_purity_sum_from_norms(ts)
-    gap = (2 ** n - 2 - red_total) - c * (1.0 - purity_from_tensors(ts))
+    pur, red_total = _purities(ts)
+    gap = (2 ** n - 2 - red_total) - c * (1.0 - pur)
     if abs(gap) <= ZERO_SNAP:
         gap = 0.0
     return gap, red_total
@@ -251,9 +313,9 @@ def white_noise_crossing(sigma: DensityMatrix, predicate: str) -> float:
     elif predicate != "entangled":
         raise ValueError(f"unknown predicate {predicate!r}; "
                          "expected 'gme' or 'entangled'")
-    ts = all_tensors(sigma)
-    weight = (c * (purity_from_tensors(ts) - _purity_weights(n, d)[0])
-              - (reduced_purity_sum_from_norms(ts) - _purity_sum_weights(n, d)[0]))
+    (pur_0, _), (red_0, _) = _purity_weights(n, d)
+    pur, red_total = _purities(all_tensors(sigma))
+    weight = c * (pur - pur_0) - (red_total - red_0)
     if weight <= 0.0:
         return -math.inf
     return 1.0 - math.sqrt(need / weight)

@@ -175,10 +175,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Trace out every party not in the ``keep`` mask.

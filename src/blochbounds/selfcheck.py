@@ -19,11 +19,13 @@ from .bounds import (
     concurrence_lower_bound,
     convex_roof_upper_estimate,
     pure_concurrence_purity,
+    purity_from_tensors,
+    reduced_purity_from_tensors,
 )
 from .generators import apply_local_unitaries
 from .linalg import PartitionContext, partial_trace, purity
 from .states import RNG_NAME, haar_random_pure, haar_unitary, random_mixed
-from .tensors import all_tensors, purity_from_tensors, reduced_purity_from_tensors
+from .tensors import all_tensors
 
 TOLERANCES = {
     "pure_equivalence": 1e-8,

@@ -10,8 +10,9 @@ parties of S with identities elsewhere. The tensor entries are recovered by
 
     T^S[idx] = (d/2)^|S| * Tr[ rho * string(S, idx) ]
 
-and are real for any Hermitian rho. Squared sector norms ||T^S||^2 feed the
-purity identities and the entanglement bounds downstream.
+and are real for any Hermitian rho. The bounds read only the sector
+lengths n_a = sum_{|S|=a} ||T^S||^2 (``norm_sq_by_size``); the purity
+identities and their weights live in ``bounds.py``.
 
 The generators are the fixed generalized Gell-Mann basis of
 ``su_generators``. No squared sector norm depends on that choice: another
@@ -32,12 +33,12 @@ float array, frozen once, and a tensor set is that one d^(2N) float array
 (134 MB at the cap); its sectors are read-only views of it, built on first
 access, so nothing is copied per sector. Every squared sector norm comes
 from one more mode-wise pass over the squared coefficients, which folds
-each party axis to (identity, sum over generators).
+each party axis to (identity, sum over generators), and one ``bincount``
+by subset size sums them to every n_a.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -68,16 +69,17 @@ class CorrelationTensorSet:
     ``coefficients`` has one axis of length d^2 per party; index 0 on an
     axis is the identity, a >= 1 the generator a - 1. A read-only float64
     array that owns its memory is kept as passed; anything else is copied
-    once and frozen. ``norms_sq[mask]``, the squared norm of a sector, is
-    derived from it, and ``sectors[mask]``, built on first access, is a
-    read-only view of it with one axis of length d^2 - 1 per party in the
-    mask, in ascending party order.
+    once and frozen. Construction keeps its squared sector norms and
+    their sums per subset size. ``norms_sq[mask]``, a sector's squared
+    norm, and ``sectors[mask]``, a read-only view of the array with one
+    axis of length d^2 - 1 per party in the mask, in ascending party
+    order, are built on first access.
     """
 
     ctx: PartitionContext
     coefficients: np.ndarray
-    norms_sq: Mapping[int, float] = field(init=False)
-    _size_sums: dict = field(init=False, repr=False)
+    _norms: np.ndarray = field(init=False, repr=False)
+    _size_sums: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c = self.coefficients
@@ -89,17 +91,21 @@ class CorrelationTensorSet:
         if c.shape != (q,) * n:
             raise ValueError(f"coefficients of shape {c.shape}, not {(q,) * n}")
         norms = _sector_norms(c)
-        bad = sum(not math.isfinite(v) for v in norms)
+        bad = int(np.count_nonzero(~np.isfinite(norms)))
         if bad:
             raise ValidationError("finite", bad, 0.0,
                                   f"{bad} squared sector norms are not finite")
-        sums = dict.fromkeys(range(n + 1), 0.0)
-        for mask in nonempty_masks(n):
-            sums[subset_size(mask)] += norms[mask]
+        norms.setflags(write=False)
+        # bincount adds in ascending mask order, like a running sum would
+        sums = np.bincount(_mask_sizes(n), weights=norms[1:], minlength=n + 1)
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "norms_sq", MappingProxyType(
-            {mask: norms[mask] for mask in nonempty_masks(n)}))
-        object.__setattr__(self, "_size_sums", sums)
+        object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "_size_sums", tuple(sums.tolist()))
+
+    @cached_property
+    def norms_sq(self) -> Mapping[int, float]:
+        """Squared sector norms, keyed by subset mask."""
+        return MappingProxyType(dict(enumerate(self._norms.tolist()[1:], 1)))
 
     @cached_property
     def sectors(self) -> Mapping[int, np.ndarray]:
@@ -108,8 +114,8 @@ class CorrelationTensorSet:
                                  for mask in nonempty_masks(self.ctx.n_parties)})
 
     def norm_sq_by_size(self, size: int) -> float:
-        """Sum of ||T^S||^2 over all subsets with |S| = size."""
-        return self._size_sums.get(size, 0.0)
+        """Sum of ||T^S||^2 over |S| = size; 0.0 for a size outside 0..N."""
+        return self._size_sums[size] if 0 <= size < len(self._size_sums) else 0.0
 
     def as_payload(self) -> list:
         """JSON-ready sector list with flattened entries."""
@@ -120,7 +126,7 @@ class CorrelationTensorSet:
                 "subset": list(parties_from_mask(mask)),
                 "shape": list(t.shape),
                 "entries": t.ravel().tolist(),
-                "norm_sq": float(self.norms_sq[mask]),
+                "norm_sq": float(self._norms[mask]),
             })
         return out
 
@@ -213,7 +219,15 @@ def correlation_tensor(rho: DensityMatrix, subset: int,
     return _sector(coefficients, red.ctx.full_mask).copy()
 
 
-def _sector_norms(coefficients: np.ndarray) -> list:
+@cache
+def _mask_sizes(n: int) -> np.ndarray:
+    """|S| for every nonempty mask S of n parties, ascending, read-only."""
+    sizes = np.array([subset_size(mask) for mask in nonempty_masks(n)])
+    sizes.setflags(write=False)
+    return sizes
+
+
+def _sector_norms(coefficients: np.ndarray) -> np.ndarray:
     """||T^S||^2 for every mask S (index 0 is the squared trace term).
 
     One mode-wise fold: each party axis of length d^2 becomes (identity,
@@ -233,7 +247,7 @@ def _sector_norms(coefficients: np.ndarray) -> list:
     for k in range(1, n):
         fold = np.einsum("pq,kqr->kpr", pick, fold.reshape(1 << k, q, -1))
     # axis k of the folded (2,)*n array is party k's bit of the mask
-    return fold.reshape((2,) * n).transpose(range(n)[::-1]).ravel().tolist()
+    return fold.reshape((2,) * n).transpose(range(n)[::-1]).ravel()
 
 
 def all_tensors(rho: DensityMatrix,
@@ -244,74 +258,3 @@ def all_tensors(rho: DensityMatrix,
     """
     return CorrelationTensorSet(
         rho.ctx, _coefficients(rho, imag_tol, rho.ctx.parties()))
-
-
-# Every weight of a sector norm: (constant, (w_1, w_2, ...)) for
-# constant + sum_a w_a norm_sq_by_size(a), exact, rounded once and cached by
-# (N, d), so contexts that differ only in dim_cap share them.
-@cache
-def _purity_weights(n: int, d: int) -> tuple:
-    return 1 / d ** n, tuple(2 ** a / d ** (n + a) for a in range(1, n + 1))
-
-
-@cache
-def _purity_sum_weights(n: int, d: int) -> tuple:
-    dn = d ** n
-    constant = ((d + 1) ** n - dn - 1) / dn
-    return constant, tuple(2 ** a * ((d + 1) ** (n - a) - 1) / d ** (n + a)
-                           for a in range(1, n))
-
-
-def _size_weighted(ts: CorrelationTensorSet, weights) -> float:
-    constant, per_size = weights(ts.ctx.n_parties, ts.ctx.local_dim)
-    return constant + sum(w * ts.norm_sq_by_size(a)
-                          for a, w in enumerate(per_size, start=1))
-
-
-def purity_from_tensors(ts: CorrelationTensorSet) -> float:
-    """Tr[rho^2] from the per-size sector norms n_a = ``norm_sq_by_size(a)``.
-
-    d^(2N) Tr[rho^2] = d^N + sum_S 2^|S| d^(N - |S|) ||T^S||^2, so
-    Tr[rho^2] = d^-N + sum_{a=1}^{N} 2^a d^-(N+a) n_a: O(N) work.
-    """
-    return _size_weighted(ts, _purity_weights)
-
-
-def reduced_purity_sum_from_norms(ts: CorrelationTensorSet) -> float:
-    """Sum of Tr[rho_S^2] over all 2^N - 2 proper nonempty reductions, from
-    the per-size sector norms n_a = ``ts.norm_sq_by_size(a)``.
-
-    Each reduced purity is Tr[rho_S^2] = d^-m sum_{A in S} (2/d)^|A| ||T^A||^2
-    with m = |S| and ||T^{}||^2 = 1. A set A of size a lies in C(N-a, m-a)
-    proper subsets of size m, so over every proper S
-
-        sum_S Tr[rho_S^2] = sum_{m=1}^{N-1} C(N, m) d^-m + sum_{a=1}^{N-1} w_a n_a,
-        w_a = (2/d)^a sum_{m=a}^{N-1} C(N-a, m-a) d^-m,
-
-    and the binomial theorem closes both sums: the constant is
-    ((d+1)^N - d^N - 1) / d^N and w_a = 2^a ((d+1)^(N-a) - 1) / d^(N+a).
-    Numerators and denominators are exact integers, so each weight is
-    rounded once. O(N) on numbers the tensor set already holds; agrees
-    with the partial-trace walk ``bounds.reduced_purity_sum`` to rounding.
-    """
-    return _size_weighted(ts, _purity_sum_weights)
-
-
-def reduced_purity_from_tensors(ts: CorrelationTensorSet, subset: int) -> float:
-    """Tr[rho_S^2] for a proper subset, from the sectors inside it.
-
-    Works because tracing out parties leaves every tensor over a subset of
-    the kept parties unchanged, so the full-state sectors already contain
-    the reduction's expansion.
-    """
-    ctx = ts.ctx
-    check_mask(subset, ctx, proper=True)
-    d = ctx.local_dim
-    m = subset_size(subset)
-    acc = float(d ** m)
-    sub = subset
-    while sub:
-        r = subset_size(sub)
-        acc += (2 ** r) * (d ** (m - r)) * ts.norms_sq[sub]
-        sub = (sub - 1) & subset
-    return acc / d ** (2 * m)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blochbounds import bounds, tensors
+from blochbounds import bounds
 from blochbounds.bounds import (
     ENTANGLED,
     GENUINELY_MULTIPARTITE,
@@ -29,6 +29,7 @@ from blochbounds.bounds import (
     pure_concurrence_purity,
     random_decomposition,
     reduced_purity_sum,
+    reduced_purity_sum_from_norms,
     tangle_bounds,
     white_noise_crossing,
 )
@@ -48,11 +49,7 @@ from blochbounds.states import (
     make_state,
     random_mixed,
 )
-from blochbounds.tensors import (
-    all_tensors,
-    correlation_tensor,
-    reduced_purity_sum_from_norms,
-)
+from blochbounds.tensors import all_tensors, correlation_tensor
 
 GHZ_CONCURRENCE = 1.224744871391589  # sqrt(3/2)
 W_CONCURRENCE = 1.1547005383792515   # sqrt(4/3)
@@ -667,9 +664,10 @@ class TestClosedFormPuritySum:
                   * sum(Fraction(math.comb(n - a, m - a), d ** m)
                         for m in range(a, n)))
             for a in range(1, n))
-        assert tensors._purity_sum_weights(n, d) == (float(constant), weights)
+        purity_weights, sum_weights = bounds._purity_weights(n, d)
+        assert sum_weights == (float(constant), weights)
         # and Tr[rho^2]'s: d^-N and (2/d)^a d^-N
-        assert tensors._purity_weights(n, d) == (
+        assert purity_weights == (
             float(Fraction(1, d ** n)),
             tuple(float(Fraction(2, d) ** a / d ** n) for a in range(1, n + 1)))
 
@@ -698,7 +696,7 @@ class TestClosedFormPuritySum:
 
     def test_exact_constants_cached_per_shape_not_per_context(self):
         caches = (bounds._gap_constants, bounds._gme_level,
-                  tensors._purity_weights, tensors._purity_sum_weights)
+                  bounds._purity_weights)
         for cache in caches:
             cache.cache_clear()
         mat = random_mixed(PartitionContext(5, 3), 2, 8).mat

@@ -19,12 +19,13 @@ from blochbounds.bounds import (
     concurrence_lower_bound,
     convex_roof_upper_estimate,
     reduced_purity_sum,
+    reduced_purity_sum_from_norms,
     tangle_bounds,
 )
 from blochbounds.generators import apply_local_unitaries
 from blochbounds.linalg import DensityMatrix, PartitionContext
 from blochbounds.states import StateSpec, haar_unitary, make_state, random_mixed
-from blochbounds.tensors import all_tensors, reduced_purity_sum_from_norms
+from blochbounds.tensors import all_tensors
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None,
                     deadline=None)

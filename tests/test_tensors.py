@@ -25,13 +25,8 @@ from blochbounds.linalg import (
     purity,
     subset_size,
 )
-from blochbounds.tensors import (
-    CorrelationTensorSet,
-    all_tensors,
-    correlation_tensor,
-    purity_from_tensors,
-    reduced_purity_from_tensors,
-)
+from blochbounds.bounds import purity_from_tensors, reduced_purity_from_tensors
+from blochbounds.tensors import CorrelationTensorSet, all_tensors, correlation_tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -488,3 +483,57 @@ class TestSectorViewsAndNorms:
             CorrelationTensorSet(PartitionContext(2, 2), coeffs)
         assert info.value.invariant == "finite"
         assert info.value.magnitude >= 1
+
+    @pytest.mark.parametrize("n,d,entry,count", [
+        (2, 2, (0, 2), 2), (2, 2, (3, 1), 2), (3, 2, (1, 0, 0), 4),
+        (3, 2, (0, 0, 3), 4), (2, 3, (4, 0), 2)])
+    def test_nan_coefficient_counts_every_folded_norm_it_reaches(
+            self, n, d, entry, count):
+        # the NaN spreads through the fold to every norm on its path, the
+        # trace term included; these counts are the ones the set reported
+        # when it checked a list of 2^N floats
+        coeffs = np.zeros((d * d,) * n)
+        coeffs[(0,) * n] = 1.0
+        coeffs[entry] = np.nan
+        with pytest.raises(ValidationError) as info:
+            CorrelationTensorSet(PartitionContext(n, d), coeffs)
+        assert info.value.invariant == "finite"
+        assert info.value.magnitude == count
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (2, 3)])
+    def test_size_outside_zero_to_n_reads_zero(self, n, d):
+        coeffs = np.random.default_rng(90 + n + d).standard_normal((d * d,) * n)
+        ts = CorrelationTensorSet(PartitionContext(n, d), coeffs)
+        assert ts.norm_sq_by_size(0) == 0.0
+        assert all(ts.norm_sq_by_size(size) > 0.0 for size in range(1, n + 1))
+        # a negative size must not wrap around to the largest sectors
+        for size in (-n - 2, -n - 1, -n, -2, -1, n + 1, n + 2, 2 ** n):
+            assert ts.norm_sq_by_size(size) == 0.0
+
+    def test_private_norms_are_read_only(self):
+        ts = all_tensors(random_state(PartitionContext(3, 2),
+                                      np.random.default_rng(91), rank=2))
+        assert not ts._norms.flags.writeable
+        with pytest.raises(ValueError):
+            ts._norms[1] = 0.0
+        assert ts._norms.tolist()[1:] == list(ts.norms_sq.values())
+
+    def test_analyze_builds_neither_norms_sq_nor_sectors(self, monkeypatch):
+        from blochbounds import bounds
+
+        made = []
+
+        def capture(rho, imag_tol=bounds.IMAG_TOL):
+            made.append(all_tensors(rho, imag_tol))
+            return made[-1]
+
+        monkeypatch.setattr(bounds, "all_tensors", capture)
+        rho = random_state(PartitionContext(3, 2), np.random.default_rng(92),
+                           rank=2)
+        bounds.analyze(rho)
+        (ts,) = made
+        assert "norms_sq" not in ts.__dict__
+        assert "sectors" not in ts.__dict__
+        # both are still there on first access, and cached from then on
+        assert ts.norms_sq is ts.norms_sq and ts.sectors is ts.sectors
+        assert {"norms_sq", "sectors"} <= set(ts.__dict__)

@@ -115,12 +115,14 @@ def measure(n: int, d: int) -> dict:
     from blochbounds import bounds
     from blochbounds.bounds import (concurrence_lower_bound,
                                     convex_roof_upper_estimate,
-                                    reduced_purity_sum, tangle_bounds)
+                                    purity_from_tensors,
+                                    reduced_purity_from_tensors,
+                                    reduced_purity_sum,
+                                    reduced_purity_sum_from_norms,
+                                    tangle_bounds)
     from blochbounds.linalg import PartitionContext, purity
     from blochbounds.states import random_mixed
-    from blochbounds.tensors import (all_tensors, purity_from_tensors,
-                                     reduced_purity_from_tensors,
-                                     reduced_purity_sum_from_norms)
+    from blochbounds.tensors import all_tensors
 
     ctx = PartitionContext(n, d)
     start = time.perf_counter()

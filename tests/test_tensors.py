@@ -489,9 +489,8 @@ class TestSectorViewsAndNorms:
         (3, 2, (0, 0, 3), 4), (2, 3, (4, 0), 2)])
     def test_nan_coefficient_counts_every_folded_norm_it_reaches(
             self, n, d, entry, count):
-        # the NaN spreads through the fold to every norm on its path, the
-        # trace term included; these counts are the ones the set reported
-        # when it checked a list of 2^N floats
+        # 0 * NaN is NaN, so the fold spreads the NaN to every norm on its
+        # path, the trace term included, and the check counts each of them
         coeffs = np.zeros((d * d,) * n)
         coeffs[(0,) * n] = 1.0
         coeffs[entry] = np.nan
